@@ -136,7 +136,7 @@ def _migration_choices(
     occupied = np.asarray(sorted(config.occupied), dtype=np.int64)
     run = costs.running_cost_counts(config.n_active, len(cache))
     choices = []
-    # One bulk call for all k families: batched windows serve every row
+    # One bulk call for all k families: the evaluator serves every row
     # from a single stacked pass; row-wise argmin matches the former
     # per-server scans exactly.
     access_all = batch.migration_costs_all(active)

@@ -73,7 +73,7 @@ class OnBR(AllocationPolicy):
         self._config = Configuration.empty()
         self._cache = InactiveServerCache(cache_size, cache_expiry)
         self._batch: "RequestBatch | None" = None
-        self._gather = None  # DistanceGather bound for a batched run
+        self._gather = None  # DistanceGather bound for the current run
         self._epoch_cost = 0.0
         self._epoch_rounds = 0
         self._previous_epoch_rounds: "int | None" = None
@@ -116,7 +116,7 @@ class OnBR(AllocationPolicy):
     def bind_batch_gather(self, gather) -> bool:
         # Exact-type guard: OFFBR subclasses this policy and evaluates a
         # *different* window (the upcoming epoch) that the gather cannot
-        # serve, so only plain ONBR opts in. ONBR consumes no randomness.
+        # serve, so only plain ONBR opts in.
         if type(self) is not OnBR:
             return False
         self._gather = gather

@@ -78,7 +78,7 @@ class OnTH(AllocationPolicy):
         self._cache = InactiveServerCache(cache_size, cache_expiry)
         self._small_batch: "RequestBatch | None" = None
         self._large_batch: "RequestBatch | None" = None
-        self._gather = None  # DistanceGather bound for a batched run
+        self._gather = None  # DistanceGather bound for the current run
         self._small_cost = 0.0
         self._large_access = 0.0
         self._large_running = 0.0
@@ -123,7 +123,6 @@ class OnTH(AllocationPolicy):
     def bind_batch_gather(self, gather) -> bool:
         # Exact-type guard: OFFTH subclasses this policy with lookahead
         # windows the gather cannot serve, so only plain ONTH opts in.
-        # ONTH consumes no randomness.
         if type(self) is not OnTH:
             return False
         self._gather = gather

@@ -6,7 +6,7 @@ re-solve idiom): it accumulates a demand window and, at every epoch
 boundary, solves the placement program of
 :mod:`repro.algorithms.optim.placement` for the next active server set —
 then *replays* that solution as a plain configuration decision, so it drops
-into every sweep, figure, queue and batched path unchanged, and every
+into every sweep, figure and queue path unchanged, and every
 adopted transition is priced exactly by the simulator
 (:func:`~repro.core.transitions.price_transition`), not by the model's
 planning approximation.

@@ -9,8 +9,11 @@ strategies of :mod:`repro.algorithms` are built on:
   distance-dependent migration costs;
 * :func:`price_transition` — the transition semantics of Examples 1-3;
 * :func:`route_requests` — access cost of a round (latency + load);
-* :func:`simulate` — the synchronous online game of §II-E, producing a
-  per-round :class:`RunResult` ledger.
+* :class:`RequestBatch` — the one evaluator of candidate placements over a
+  request window (exact, removal, addition and migration costs);
+* :func:`simulate` — the synchronous online game of §II-E, the one
+  single-service round loop, producing a per-round :class:`RunResult`
+  ledger through the :class:`RunLedger` column writer.
 """
 
 from repro.core.config import Configuration

@@ -46,7 +46,7 @@ import numpy as np
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.policy import AllocationPolicy, OfflinePolicy
-from repro.core.results import RoundRecord, RunLedger, RunResult
+from repro.core.results import RunLedger, RunResult
 from repro.core.routing import RoutingResult
 from repro.core.transitions import price_transition
 from repro.topology.substrate import Substrate
@@ -243,20 +243,11 @@ def simulate_services(
             outcome = price_transition(configs[name], new_config, costs)
             configs[name] = new_config
 
-            ledgers[name].append(
-                RoundRecord(
-                    t=t,
-                    latency_cost=latency,
-                    load_cost=load,
-                    running_cost=costs.running_cost(new_config),
-                    migration_cost=outcome.migration_cost,
-                    creation_cost=outcome.creation_cost,
-                    migrations=outcome.migrations,
-                    creations=outcome.creations,
-                    n_active=new_config.n_active,
-                    n_inactive=new_config.n_inactive,
-                    n_requests=int(requests.size),
-                )
+            ledgers[name].write(
+                latency, load, costs.running_cost(new_config),
+                outcome.migration_cost, outcome.creation_cost,
+                outcome.migrations, outcome.creations,
+                new_config.n_active, new_config.n_inactive, int(requests.size),
             )
 
     return {

@@ -36,8 +36,8 @@ class AllocationPolicy(ABC):
     #: Whether the policy must see the complete trace before the run. Online
     #: policies leave this ``False`` and the simulator feeds them rounds from
     #: any round-iterable — including lazily generated
-    #: :class:`~repro.traces.streaming.StreamingTrace` streams — in O(round)
-    #: memory. :class:`OfflinePolicy` overrides it to ``True``, making the
+    #: :class:`~repro.traces.streaming.StreamingTrace` streams — in
+    #: O(chunk) memory. :class:`OfflinePolicy` overrides it to ``True``, making the
     #: simulator materialise streaming input before :meth:`~OfflinePolicy.prepare`.
     requires_full_trace: bool = False
 
@@ -81,30 +81,30 @@ class AllocationPolicy(ABC):
             change" and is free.
         """
 
-    # -- batched execution protocol ---------------------------------------------
+    # -- shared-gather protocol ---------------------------------------------------
 
     def bind_batch_gather(self, gather) -> bool:
-        """Offer a precomputed distance gather for the next run.
+        """Offer a shared distance gather for the next run.
 
-        The batched simulator (:mod:`repro.core.batch`) calls this right
-        before :meth:`reset` with a
-        :class:`~repro.core.batch.DistanceGather` covering the run's full
-        trace. A policy that can serve its request windows from the gather
-        stores it and returns ``True``. Opting in is a contract:
+        :func:`~repro.core.simulator.simulate` calls this right before
+        :meth:`reset` when the run's whole trace is one
+        :class:`~repro.core.evaluation.DistanceGather` under the loop's
+        element cap. A policy that can serve its request windows from the
+        gather stores it and returns ``True``; it must then feed every
+        round, in order, to windows created from the gather
+        (``gather.new_window()``), exactly once per window per round.
+        Sibling policies bound to the same gather share its distance
+        columns and candidate-family memo.
 
-        * ``reset`` and ``decide`` consume **no randomness** — a sibling
-          policy falling back to the scalar path must observe an identical
-          rng stream either way;
-        * every round is fed, in order, to windows created from the gather
-          (``gather.new_window()``), exactly once per window per round.
-
-        The default declines, which routes the policy through the scalar
-        :func:`~repro.core.simulator.simulate` unchanged.
+        The default declines: the policy keeps its own
+        :class:`~repro.core.evaluation.RequestBatch` windows. Both window
+        sources compute the same floats, so the choice never changes a
+        ledger — only how much distance gathering the run repeats.
         """
         return False
 
     def unbind_batch_gather(self) -> None:
-        """Drop a previously bound gather (called after a batched run)."""
+        """Drop a previously bound gather (called after the run)."""
 
 
 class OfflinePolicy(AllocationPolicy):

@@ -10,7 +10,7 @@ plot exactly these series, and every other figure aggregates their totals.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,41 +97,54 @@ class CostBreakdown:
 
 
 class RunLedger:
-    """Mutable accumulator the simulator writes into, column-oriented."""
+    """The column writer every round loop records its rounds into.
 
-    _FIELDS = (
-        "latency_cost",
-        "load_cost",
-        "running_cost",
-        "migration_cost",
-        "creation_cost",
-        "migrations",
-        "creations",
-        "n_active",
-        "n_inactive",
-        "n_requests",
-    )
+    One typed column per ledger field (8 bytes/round each) instead of
+    per-round records of boxed Python numbers — a million-round ledger
+    stays ~80 MB, which is what keeps streaming-trace runs lean.
+    :meth:`finish` wraps the columns as read-only arrays without copying.
+    """
+
+    #: The ledger columns: every :class:`RoundRecord` field but ``t``.
+    _FIELDS = tuple(f.name for f in fields(RoundRecord))[1:]
 
     def __init__(self) -> None:
-        # Typed columns (8 bytes/round each) instead of lists of boxed
-        # Python numbers — a million-round ledger stays ~80 MB instead of
-        # several hundred, which is what keeps streaming-trace runs lean.
-        self._columns: dict[str, array] = {
-            name: array("d" if name.endswith("cost") else "q")
-            for name in self._FIELDS
-        }
+        self._columns = tuple(
+            array("d" if name.endswith("cost") else "q") for name in self._FIELDS
+        )
 
-    def append(self, record: RoundRecord) -> None:
-        """Record one round."""
-        for name in self._FIELDS:
-            self._columns[name].append(getattr(record, name))
+    def write(
+        self,
+        latency_cost: float,
+        load_cost: float,
+        running_cost: float,
+        migration_cost: float,
+        creation_cost: float,
+        migrations: int,
+        creations: int,
+        n_active: int,
+        n_inactive: int,
+        n_requests: int,
+    ) -> None:
+        """Record one round (fields in :class:`RoundRecord` order)."""
+        columns = self._columns
+        columns[0].append(latency_cost)
+        columns[1].append(load_cost)
+        columns[2].append(running_cost)
+        columns[3].append(migration_cost)
+        columns[4].append(creation_cost)
+        columns[5].append(migrations)
+        columns[6].append(creations)
+        columns[7].append(n_active)
+        columns[8].append(n_inactive)
+        columns[9].append(n_requests)
 
     def finish(self, policy_name: str, scenario_name: str = "") -> "RunResult":
         """Freeze the ledger into an immutable :class:`RunResult`."""
         arrays = {}
-        for name in self._FIELDS:
+        for name, column in zip(self._FIELDS, self._columns):
             dtype = np.float64 if name.endswith("cost") else np.int64
-            arr = np.asarray(self._columns[name], dtype=dtype)
+            arr = np.frombuffer(column, dtype=dtype)
             arr.flags.writeable = False
             arrays[name] = arr
         return RunResult(policy_name=policy_name, scenario_name=scenario_name, **arrays)
@@ -259,16 +272,4 @@ class RunResult:
         """Reconstruct the :class:`RoundRecord` of round ``t``."""
         if not 0 <= t < self.rounds:
             raise IndexError(f"round {t} outside 0..{self.rounds - 1}")
-        return RoundRecord(
-            t=t,
-            latency_cost=float(self.latency_cost[t]),
-            load_cost=float(self.load_cost[t]),
-            running_cost=float(self.running_cost[t]),
-            migration_cost=float(self.migration_cost[t]),
-            creation_cost=float(self.creation_cost[t]),
-            migrations=int(self.migrations[t]),
-            creations=int(self.creations[t]),
-            n_active=int(self.n_active[t]),
-            n_inactive=int(self.n_inactive[t]),
-            n_requests=int(self.n_requests[t]),
-        )
+        return RoundRecord(t, *(getattr(self, name)[t].item() for name in RunLedger._FIELDS))

@@ -1,5 +1,7 @@
 """Tests for the run ledger and result aggregation (repro.core.results)."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ def make_record(t, **overrides):
     )
     defaults.update(overrides)
     return RoundRecord(**defaults)
+
+
+def write_record(ledger, record):
+    """Write a RoundRecord's fields (all but ``t``) as one ledger round."""
+    fields = asdict(record)
+    del fields["t"]
+    ledger.write(**fields)
 
 
 class TestRoundRecord:
@@ -57,14 +66,15 @@ class TestRunLedger:
     def build(self, n=5):
         ledger = RunLedger()
         for t in range(n):
-            ledger.append(
+            write_record(
+                ledger,
                 make_record(
                     t,
                     latency_cost=float(t),
                     migration_cost=40.0 if t == 2 else 0.0,
                     migrations=1 if t == 2 else 0,
                     n_active=1 + t % 2,
-                )
+                ),
             )
         return ledger.finish("TEST", "scenario-x")
 
@@ -128,7 +138,9 @@ class TestCsvExport:
     def build(self):
         ledger = RunLedger()
         for t in range(3):
-            ledger.append(make_record(t, latency_cost=float(t), migrations=t % 2))
+            write_record(
+                ledger, make_record(t, latency_cost=float(t), migrations=t % 2)
+            )
         return ledger.finish("CSVTEST", "scn")
 
     def test_rows_match_columns(self):
