@@ -255,6 +255,7 @@ class Broker:
         kind: str,
         payload: "Mapping | None" = None,
         blob: "bytes | None" = None,
+        successor_of: "int | None" = None,
     ) -> bool:
         """Append one task to a job unless an identical one is outstanding.
 
@@ -262,15 +263,19 @@ class Broker:
         leased* rows: a worker re-enqueueing the next top-up for a point
         while the presumed-dead original enqueuer's row is still live must
         not double the work. Done/failed rows do not block — the schedule
-        may legitimately revisit a payload.
+        may legitimately revisit a payload. ``successor_of`` names the
+        caller's own leased task, which the new task continues: that one
+        row does not count as a duplicate (it is about to complete), so a
+        top-up can chain its next top-up with the same payload.
         """
         now = time.time()
         text = json.dumps(dict(payload or {}), sort_keys=True)
         with self._transaction() as db:
             if db.execute(
                 "SELECT 1 FROM tasks WHERE job = ? AND kind = ? AND"
-                " payload = ? AND status IN ('pending', 'leased') LIMIT 1",
-                (job_id, kind, text),
+                " payload = ? AND status IN ('pending', 'leased')"
+                " AND id IS NOT ? LIMIT 1",
+                (job_id, kind, text, successor_of),
             ).fetchone():
                 return False
             db.execute(

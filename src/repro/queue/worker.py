@@ -240,7 +240,9 @@ def execute_lease(
     if lease.kind == "topup":
         done, _simulated = _topup_step(spec, index, samples, cache)
         if not done:
-            broker.add_task(lease.job, "topup", {"point": index})
+            broker.add_task(
+                lease.job, "topup", {"point": index}, successor_of=lease.task_id
+            )
         return None
     raise ValueError(f"unknown task kind {lease.kind!r}")
 

@@ -57,3 +57,26 @@ def test_golden_file_covers_the_ported_figures():
                 "fig09", "fig10", "fig11", "fig13", "fig14", "fig15",
                 "fig16", "fig17", "fig18", "fig19", "rocketfuel"}
     assert set(GOLDEN) == expected
+
+
+def test_fig03_then_fig04_run_dijkstra_once_per_graph(monkeypatch):
+    # fig04 rebuilds fig03's seeded graphs byte for byte, so in one process
+    # the distance cache answers every fig04 replicate: Dijkstra runs once
+    # per (size, replicate) and both figures still match their goldens.
+    from scipy.sparse.csgraph import dijkstra
+
+    from repro.topology import substrate
+
+    assert GOLDEN["fig03"]["params"] == GOLDEN["fig04"]["params"]
+    substrate._DISTANCES.clear()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(substrate, "dijkstra", counting)
+    for key in ("fig03", "fig04"):
+        assert _figure_fn(key)(**_params(GOLDEN[key])).to_dict() == GOLDEN[key]["result"]
+    params = GOLDEN["fig03"]["params"]
+    assert len(calls) == len(params["sizes"]) * params["runs"]

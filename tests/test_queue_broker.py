@@ -184,6 +184,35 @@ class TestAddTask:
         assert broker.add_task("job-1", "topup", {"point": 0}) is False
         assert broker.job_state("job-1")["tasks"] == {"pending": 2}
 
+    def test_successor_skips_only_its_own_leased_row(self, broker):
+        enqueue_points(broker, count=1)
+        assert broker.add_task("job-1", "topup", {"point": 0}) is True
+        broker.complete(broker.lease_task("w"))  # the point task
+        own = broker.lease_task("w")
+        assert own.kind == "topup"
+        assert broker.add_task("job-1", "topup", {"point": 0}) is False
+        assert broker.add_task(
+            "job-1", "topup", {"point": 0}, successor_of=own.task_id
+        ) is True
+        # the successor is pending now, so a second chain link is refused
+        assert broker.add_task(
+            "job-1", "topup", {"point": 0}, successor_of=own.task_id
+        ) is False
+
+    def test_successor_still_blocked_by_another_leased_row(self, broker):
+        enqueue_points(broker, count=1)
+        broker.complete(broker.lease_task("w"))
+        broker.add_task("job-1", "topup", {"point": 0})
+        other = broker.lease_task("w1")
+        assert broker.add_task(
+            "job-1", "topup", {"point": 0}, successor_of=other.task_id
+        ) is True
+        mine = broker.lease_task("w2")  # ``other`` is still running
+        assert mine.task_id != other.task_id
+        assert broker.add_task(
+            "job-1", "topup", {"point": 0}, successor_of=mine.task_id
+        ) is False
+
     def test_add_task_allows_revisiting_done_payloads(self, broker):
         enqueue_points(broker, count=1)
         lease = broker.lease_task("w")

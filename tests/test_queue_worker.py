@@ -177,6 +177,30 @@ class TestDrainBitIdentity:
         assert executed >= 4  # 2 point tasks + at least one topup each
         assert cache.load(spec).to_dict() == serial.to_dict()
 
+    def test_topup_chain_runs_every_batch_in_tasks(self, broker, cache):
+        # an unreachable target: each point tops up 2 -> 4 -> 6 = max_runs,
+        # so it needs two top-up tasks; a top-up must be able to chain its
+        # successor while its own row is still leased
+        spec = adaptive_sweep(
+            replication=ReplicationSpec(
+                ci_level=0.9, target_halfwidth=1e-9, relative=True, max_runs=6
+            ),
+            comparison=None,
+        )
+        serial = run_sweep(spec)
+        assert serial.counts == (6, 6)
+        job_id = enqueue_sweep(broker, cache, spec)["job"]
+        while (lease := broker.lease_task("w")) is not None:
+            execute_lease(broker, lease, cache)
+            assert broker.complete(lease)
+        topups = [t for t in broker.tasks_for(job_id) if t["kind"] == "topup"]
+        for index in range(len(spec.values)):
+            assert sum(t["payload"] == {"point": index} for t in topups) == 2
+        stores = cache.extension_stores
+        result = try_finalize(broker, job_id, cache)
+        assert cache.extension_stores == stores  # finalize simulated nothing
+        assert result.to_dict() == serial.to_dict()
+
     def test_drained_job_answers_warm_on_reenqueue(self, broker, cache):
         spec = small_sweep()
         enqueue_sweep(broker, cache, spec)

@@ -1,9 +1,15 @@
 """Tests for the substrate network model (repro.topology.substrate)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from repro.topology.substrate import Link, Substrate
+from repro.topology import generators
+from repro.topology import substrate as substrate_module
+from repro.topology.substrate import Link, Substrate, _DistanceCache
 
 
 def make_path(n=4, latency=1.0):
@@ -238,3 +244,144 @@ class TestCapacities:
         assert capped.distances is base  # cache shared, not recomputed
         uncapped = capped.with_capacities(None)
         assert not uncapped.capacitated
+
+
+@pytest.fixture()
+def dijkstra_calls(monkeypatch):
+    """Empty the process-wide distance cache and count Dijkstra runs."""
+    substrate_module._DISTANCES.clear()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(substrate_module, "dijkstra", counting)
+    return calls
+
+
+class TestDistanceCache:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generators.erdos_renyi(120, p=0.03, seed=5),
+            lambda: generators.line(7, seed=1),
+            lambda: generators.ring(9, seed=2, unit_latency=False),
+            lambda: generators.random_tree(15, seed=3),
+            lambda: Substrate(1, []),
+        ],
+        ids=["erdos_renyi", "line", "ring", "tree", "single-node"],
+    )
+    def test_cached_equals_fresh_undirected_dijkstra(self, build, dijkstra_calls):
+        first, second = build(), build()
+        fresh = dijkstra(first._adjacency, directed=False)
+        for sub in (first, second):
+            assert sub.distances.dtype == fresh.dtype
+            assert sub.distances.tobytes() == fresh.tobytes()
+        assert len(dijkstra_calls) == 1
+
+    def test_identical_substrates_share_one_array(self, dijkstra_calls):
+        sub = generators.erdos_renyi(80, p=0.05, seed=11)
+        twin = generators.erdos_renyi(80, p=0.05, seed=11)
+        assert twin is not sub
+        assert twin.distances is sub.distances
+        assert twin.center == sub.center
+        assert len(dijkstra_calls) == 1
+
+    def test_one_ulp_latency_change_misses(self, dijkstra_calls):
+        sub = generators.erdos_renyi(60, p=0.08, seed=4)
+        links = list(sub.links)
+        link = links[0]
+        links[0] = Link(
+            link.u, link.v, float(np.nextafter(link.latency, np.inf)), link.bandwidth
+        )
+        nudged = Substrate(sub.n, links)
+        assert nudged.distances is not sub.distances
+        assert len(dijkstra_calls) == 2
+
+    def test_reordered_links_share_one_entry_via_sorted_csr(self, dijkstra_calls):
+        # scipy sorts each CSR row, so a reordered link list yields the same
+        # Dijkstra input bytes and therefore the same cache entry.
+        sub = generators.random_tree(20, seed=8)
+        reordered = Substrate(sub.n, sub.links[::-1])
+        for part in ("indptr", "indices", "data"):
+            assert (
+                getattr(reordered._adjacency, part).tobytes()
+                == getattr(sub._adjacency, part).tobytes()
+            )
+        assert reordered.distances is sub.distances
+        assert len(dijkstra_calls) == 1
+
+    def test_lru_eviction_within_budget(self):
+        item = np.zeros((4, 4))  # 128 bytes
+        cache = _DistanceCache(budget=3 * item.nbytes)
+        arrays = {key: np.full((4, 4), float(key)) for key in range(4)}
+        for key in range(3):
+            assert cache.put((key,), arrays[key]) is arrays[key]
+        assert cache.get((0,)) is arrays[0]  # 0 is now most recent; 1 is oldest
+        cache.put((3,), arrays[3])
+        assert cache.get((1,)) is None
+        assert [cache.get((key,)) is arrays[key] for key in (0, 2, 3)] == [True] * 3
+        assert cache.nbytes == 3 * item.nbytes <= cache.budget
+
+    def test_over_budget_matrix_is_not_kept(self):
+        cache = _DistanceCache(budget=100)
+        big = np.zeros((4, 4))  # 128 bytes > 100
+        assert cache.put(("big",), big) is big
+        assert cache.get(("big",)) is None
+        assert cache.nbytes == 0
+
+    def test_put_returns_the_first_stored_array(self):
+        cache = _DistanceCache(budget=1 << 20)
+        first, second = np.zeros((2, 2)), np.zeros((2, 2))
+        assert cache.put(("k",), first) is first
+        assert cache.put(("k",), second) is first
+        assert cache.nbytes == first.nbytes
+
+    def test_module_budget(self):
+        assert substrate_module._DISTANCES.budget == 1 << 27
+
+    def test_concurrent_reads_return_identical_arrays(self, dijkstra_calls):
+        subs = [generators.erdos_renyi(150, p=0.03, seed=21) for _ in range(6)]
+        barrier = threading.Barrier(len(subs))
+        results = [None] * len(subs)
+
+        def read(i):
+            barrier.wait()
+            results[i] = subs[i].distances
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(subs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = dijkstra(subs[0]._adjacency, directed=False)
+        assert all(result is results[0] for result in results)
+        assert results[0].tobytes() == expected.tobytes()
+        assert 1 <= len(dijkstra_calls) <= len(subs)
+
+    def test_concurrent_puts_keep_the_byte_count(self):
+        # a lost update on the entry dict or the byte counter would leave
+        # nbytes disagreeing with the entries actually held
+        item = np.zeros((4, 4))
+        cache = _DistanceCache(budget=5 * item.nbytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def churn(worker):
+                for step in range(3000):
+                    key = ((worker * 7 + step) % 11,)
+                    if cache.get(key) is None:
+                        cache.put(key, np.zeros((4, 4)))
+
+            threads = [threading.Thread(target=churn, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        held = sum(array.nbytes for array in cache._entries.values())
+        assert cache.nbytes == held <= cache.budget
