@@ -572,7 +572,8 @@ class ResultCache:
                 files = sorted(bucket.glob("*.json"))
             except OSError:  # bucket deleted between iterdir and glob
                 continue
-            yield from files
+            # entries deleted since the bucket was listed are skipped too
+            yield from (path for path in files if path.exists())
 
     def stats(self) -> dict:
         """A summary of what is on disk: entry/byte counts per entry kind."""

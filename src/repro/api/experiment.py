@@ -1,21 +1,30 @@
 """Executing declarative specs: ``run_experiment`` and ``run_sweep``.
 
 These are the two entry points the spec layer adds on top of
-:func:`repro.core.simulator.simulate` and
-:func:`repro.experiments.runner.sweep_experiment`:
+:func:`repro.core.simulator.simulate`:
 
 * :func:`run_experiment` materialises one :class:`ExperimentSpec` — build
   the substrate, generate the trace(s), run every policy — and returns the
   full per-policy :class:`~repro.core.results.RunResult` ledgers plus the
   spec's evaluated metric series.
 * :func:`run_sweep` turns a :class:`SweepSpec` into a
-  :class:`~repro.experiments.runner.FigureResult` via the sweep engine; pass
-  an :class:`~repro.api.execution.ExecutionBackend` to parallelise the
+  :class:`~repro.experiments.runner.FigureResult`; pass an
+  :class:`~repro.api.execution.ExecutionBackend` to parallelise the
   replicates (results are bit-identical across backends) and a
   :class:`~repro.api.cache.ResultCache` to memoize results on disk — whole
-  sweeps *and* individual sweep points, so an interrupted or partially
+  sweeps *and* individual replicate blocks, so an interrupted or partially
   invalidated sweep resumes instead of restarting, and ``shard=(i, n)``
   lets N independent processes fill disjoint points of one shared cache.
+
+Every sweep runs through one engine: each point walks its
+:class:`~repro.experiments.runner.PointSchedule` (an initial block, then
+adaptive top-ups) one block per round, loading each block from the cache
+when present and simulating a round's missing blocks as one backend batch
+(:class:`PointBlocks` names each block's seeds and cache entry). Fixed and
+adaptive, cached and uncached, sharded and whole sweeps differ only in
+their schedule and in which blocks the cache already holds; the queue
+workers (:mod:`repro.queue.worker`) replay the same schedule block by
+block.
 
 Randomness follows the figure-module convention: one generator drives
 topology construction, trace generation and every policy's simulation in
@@ -378,8 +387,11 @@ def run_sweep(
     paired adaptive sweeps settle the same orderings with fewer simulated
     replicates.
 
-    Serial, process-pool and sharded execution are bit-identical: every
-    task's child seed depends only on its position (see
+    Determinism: serial, process-pool, sharded and queue execution are
+    bit-identical. They share one schedule
+    (:class:`~repro.experiments.runner.PointSchedule`, a pure function of
+    a point's samples) and one block layout (:class:`PointBlocks`), every
+    replicate's child seed depends only on its position (see
     :func:`~repro.experiments.runner.spawn_tasks` and
     :func:`~repro.experiments.runner.spawn_point_extension_tasks`), and
     aggregation is pure arithmetic over the per-replicate samples wherever
@@ -407,12 +419,7 @@ def _execute_sweep(
     resume: bool,
 ) -> "FigureResult":
     """:func:`run_sweep` after spec normalization (observer-transparent)."""
-    from repro.experiments.runner import (
-        SeriesValidator,
-        aggregate_samples,
-        spawn_tasks,
-        sweep_experiment,
-    )
+    from repro.experiments.runner import PointSchedule
 
     shard = _normalize_shard(shard)
     if shard is not None and cache is None:
@@ -430,139 +437,32 @@ def _execute_sweep(
         if cached is not None:
             return cached
 
-    if spec.replication is not None and spec.replication.ci_level > 0:
-        # Confidence-aware path: per-point CI annotations and (with a
-        # target) adaptive replication. A replication spec with
-        # ci_level=0 is a pure runs override and stays on the plain
-        # paths below, whose output is bit-identical to a fixed-runs
-        # sweep.
-        return _run_confidence_sweep(spec, backend, cache, shard, resume)
-
-    runs = spec.effective_runs
-    if cache is None or not resume:
-        # All-or-nothing path: no per-point entries to probe or fill.
-        result = _display_x(
+    samples, blocked = _fill_points(
+        spec,
+        PointSchedule.of(spec),
+        backend,
+        # resume=False: all-or-nothing caching, no per-point entries
+        cache if resume else None,
+        mine=lambda i: shard is None or i % shard[1] == shard[0],
+    )
+    complete = [i for i in range(len(samples)) if i not in blocked]
+    if blocked:
+        # Only reachable in shard mode: other shards' points are missing
+        # or mid-top-up. Return what is finished — callers fan shards out
+        # in parallel and let any later full run assemble the figure.
+        return _aggregate(
             spec,
-            sweep_experiment(
-                figure=spec.figure,
-                title=spec.resolved_title(),
-                x_label=spec.resolved_x_label(),
-                x_values=spec.values,
-                replicate=SpecReplicate(spec),
-                runs=runs,
-                seed=spec.seed,
-                notes=spec.notes,
-                backend=backend,
-                comparison=spec.comparison,
-            ),
-        )
-        if cache is not None:
-            cache.store(spec, result)
-        return result
-
-    # Resumable path: assemble the figure from cached points plus freshly
-    # computed ones, storing each fresh point as soon as its replicates are
-    # in — an interruption loses at most the points still in flight.
-    x_values = list(spec.values)
-    tasks = spawn_tasks(x_values, runs, spec.seed)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-
-    samples: "list[Mapping[str, float] | None]" = [None] * len(tasks)
-    missing: "list[int]" = []
-    for i in range(len(x_values)):
-        cached_point = cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-        if cached_point is not None:
-            samples[i * runs : (i + 1) * runs] = cached_point
-        else:
-            missing.append(i)
-
-    mine = [
-        i for i in missing if shard is None or i % shard[1] == shard[0]
-    ]
-    if mine:
-        if backend is None:
-            backend = SerialBackend()
-        validator = SeriesValidator(runs)
-        pending = [tasks[i * runs + j] for i in mine for j in range(runs)]
-
-        def commit(k: int, block) -> None:
-            """Publish the k-th missing point: scatter + store immediately."""
-            i = mine[k]
-            samples[i * runs : (i + 1) * runs] = block
-            cache.store_point(point_specs[i], spec.seed, i * runs, runs, block)
-
-        # Commit each point from the result hook the moment its last
-        # replicate lands (results arrive in task order), so a crash or
-        # kill mid-batch loses at most the points still in flight — the
-        # next run resumes from everything committed before the interrupt.
-        hook_samples: "list[Mapping[str, float]]" = []
-
-        def on_result(index, task, sample) -> None:
-            validator(index, task, sample)
-            hook_samples.append(sample)
-            if len(hook_samples) % runs == 0:
-                k = len(hook_samples) // runs - 1
-                commit(k, hook_samples[k * runs :])
-
-        fresh = backend.run_replicates(
-            SpecReplicate(spec), pending, on_result=on_result
-        )
-        # Backstop for backends that ignored (or only partially drove) the
-        # hook: validate and commit whatever the hook did not see.
-        for index in range(len(hook_samples), len(pending)):
-            validator(index, pending[index], fresh[index])
-        for k in range(len(hook_samples) // runs, len(mine)):
-            commit(k, fresh[k * runs : (k + 1) * runs])
-
-    # Cached and fresh samples must agree on the series key set — a cached
-    # point from an older metric line-up mixed with fresh ones would
-    # otherwise aggregate into misaligned series.
-    check = SeriesValidator(runs)
-    for index, (task, sample) in enumerate(zip(tasks, samples)):
-        if sample is not None:
-            check(index, task, sample)
-
-    complete = [
-        i
-        for i in range(len(x_values))
-        if all(samples[i * runs + j] is not None for j in range(runs))
-    ]
-    if len(complete) < len(x_values):
-        # Only reachable in shard mode: other shards' points are not in the
-        # cache yet. Return what exists — callers fan shards out in parallel
-        # and let any later full run assemble the complete figure.
-        partial = aggregate_samples(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=[x_values[i] for i in complete],
-            samples=[
-                samples[i * runs + j] for i in complete for j in range(runs)
-            ],
-            runs=runs,
+            complete,
+            samples,
             notes=(
-                f"partial: {len(complete)}/{len(x_values)} points "
+                f"partial: {len(complete)}/{len(samples)} points "
                 f"(shard {shard[0] + 1}/{shard[1]}); rerun unsharded to "
                 "assemble"
             ),
-            comparison=spec.comparison,
         )
-        return _display_x(spec, partial)
-
-    result = _display_x(
-        spec,
-        aggregate_samples(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=x_values,
-            samples=samples,
-            runs=runs,
-            notes=spec.notes,
-            comparison=spec.comparison,
-        ),
-    )
-    cache.store(spec, result)
+    result = _aggregate(spec, complete, samples, notes=spec.notes)
+    if cache is not None:
+        cache.store(spec, result)
     return result
 
 
@@ -576,293 +476,203 @@ def collect_point_samples(
 
     Returns, per sweep point, the point's first ``spec.effective_runs``
     replicate samples (``{series: value}`` dicts) — the same blocks
-    :func:`run_sweep` simulates in its first phase, with the same flat
-    seeds and the same per-point cache entries, so a call over the cache
-    of a completed sweep loads everything and simulates nothing. Missing
-    blocks are simulated (and stored, when ``cache`` and ``resume`` allow)
-    so the result is always complete.
+    :func:`run_sweep` simulates first, with the same flat seeds and the
+    same per-point cache entries, so a call over the cache of a completed
+    sweep loads everything and simulates nothing. Missing blocks are
+    simulated (and stored, when ``cache`` and ``resume`` allow) so the
+    result is always complete.
 
     This is the sample-level feed of
     :func:`repro.analysis.stats.comparison_matrix`: every-vs-every paired
     comparisons need the aligned per-replicate values, which an aggregated
     :class:`FigureResult` no longer carries.
     """
-    from repro.experiments.runner import SeriesValidator, spawn_tasks
+    from repro.experiments.runner import PointSchedule
 
-    runs = spec.effective_runs
-    x_values = list(spec.values)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-    use_points = cache is not None and resume
-
-    samples: "list[list[Mapping[str, float]] | None]" = [None] * len(x_values)
-    pending: "list[int]" = []
-    for i in range(len(x_values)):
-        block = (
-            cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-            if use_points
-            else None
-        )
-        if block is not None:
-            samples[i] = list(block)
-        else:
-            pending.append(i)
-
-    if pending:
-        if backend is None:
-            backend = SerialBackend()
-        tasks = spawn_tasks(x_values, runs, spec.seed)
-
-        def point_commit(i: int):
-            def commit(block) -> None:
-                samples[i] = list(block)
-                if use_points:
-                    cache.store_point(
-                        point_specs[i], spec.seed, i * runs, runs, block
-                    )
-
-            return commit
-
-        _run_batched(
-            backend,
-            SpecReplicate(spec),
-            [
-                (tasks[i * runs : (i + 1) * runs], point_commit(i))
-                for i in pending
-            ],
-            SeriesValidator(runs),
-        )
+    samples, _blocked = _fill_points(
+        spec,
+        PointSchedule(spec.effective_runs),  # the initial block only
+        backend,
+        cache if resume else None,
+    )
     return samples
 
 
-def _run_batched(backend, replicate, spans, validator) -> None:
-    """Run several task blocks as one backend batch, committing per block.
+class PointBlocks:
+    """The seeds and cache entries of a sweep's replicate blocks.
 
-    ``spans`` is a list of ``(tasks, commit)`` pairs; ``commit(block)`` is
-    invoked with a block's samples the moment its last replicate lands
-    (results arrive in task order), so a crash mid-batch loses at most the
-    blocks still in flight. Backends that ignore (or only partially drive)
-    the result hook are backstopped from the returned list.
+    Block ``(offset, size)`` of point ``i`` is one
+    :class:`~repro.experiments.runner.PointSchedule` step. The initial
+    block (``offset == 0``) runs at the flat seeds of
+    :func:`~repro.experiments.runner.spawn_tasks` and lives in a plain
+    point entry; every later block is a top-up at the seeds of
+    :func:`~repro.experiments.runner.spawn_point_extension_tasks`, stored
+    as a point-extension entry. With ``cache=None`` every load misses and
+    nothing is stored.
     """
-    tasks = [task for block_tasks, _commit in spans for task in block_tasks]
-    bounds = [0]
-    for block_tasks, _commit in spans:
-        bounds.append(bounds[-1] + len(block_tasks))
 
-    seen: "list[Mapping[str, float]]" = []
-    committed = 0
+    def __init__(self, spec: SweepSpec, cache: "ResultCache | None") -> None:
+        self.spec = spec
+        self.cache = cache
+        self.replicate = SpecReplicate(spec)
+        self._points: "dict[int, ExperimentSpec]" = {}
+        self._flat: "list[ReplicateTask] | None" = None
 
-    def on_result(index, task, sample) -> None:
-        nonlocal committed
-        validator(index, task, sample)
-        seen.append(sample)
-        while committed < len(spans) and len(seen) >= bounds[committed + 1]:
-            spans[committed][1](seen[bounds[committed] : bounds[committed + 1]])
-            committed += 1
+    def _point(self, i: int) -> ExperimentSpec:
+        if i not in self._points:
+            self._points[i] = self.spec.experiment_at(self.spec.values[i])
+        return self._points[i]
 
-    results = backend.run_replicates(replicate, tasks, on_result=on_result)
-    for index in range(len(seen), len(tasks)):
-        validator(index, tasks[index], results[index])
-    for k in range(committed, len(spans)):
-        spans[k][1](results[bounds[k] : bounds[k + 1]])
+    def tasks(self, i: int, offset: int, size: int) -> "list[ReplicateTask]":
+        """The seeded replicate tasks of one block."""
+        from repro.experiments.runner import (
+            spawn_point_extension_tasks,
+            spawn_tasks,
+        )
+
+        spec = self.spec
+        if offset:
+            return spawn_point_extension_tasks(
+                spec.values[i], i, offset, size, spec.seed
+            )
+        if self._flat is None:
+            self._flat = spawn_tasks(spec.values, size, spec.seed)
+        return self._flat[i * size : (i + 1) * size]
+
+    def load(self, i: int, offset: int, size: int):
+        """The cached samples of one block, or ``None``."""
+        if self.cache is None:
+            return None
+        if offset:
+            return self.cache.load_point_extension(
+                self._point(i), self.spec.seed, i, offset, size
+            )
+        return self.cache.load_point(
+            self._point(i), self.spec.seed, i * size, size
+        )
+
+    def store(self, i: int, offset: int, size: int, block) -> None:
+        """Publish one freshly simulated block."""
+        if self.cache is None:
+            return
+        if offset:
+            self.cache.store_point_extension(
+                self._point(i), self.spec.seed, i, offset, size, block
+            )
+        else:
+            self.cache.store_point(
+                self._point(i), self.spec.seed, i * size, size, block
+            )
 
 
-def _run_confidence_sweep(
+def _fill_points(
     spec: SweepSpec,
+    schedule: "PointSchedule",
     backend: "ExecutionBackend | None",
     cache: "ResultCache | None",
-    shard: "tuple[int, int] | None",
-    resume: bool,
-) -> "FigureResult":
-    """The confidence-aware sweep engine behind :func:`run_sweep`.
+    mine=lambda i: True,
+) -> "tuple[list[list[Mapping[str, float]]], set[int]]":
+    """Walk every sweep point through ``schedule``, cache first, in rounds.
 
-    Phase 1 materialises every point's *initial* replicate block exactly
-    like the plain resumable path — same flat task seeds, same point cache
-    entries, so blocks cached by replication-unaware sweeps (or written
-    before replication existed) are reused as-is. Phase 2, only under an
-    adaptive replication spec, tops needy points up batch by batch:
-    cache-first (point-extension entries), then the marginal seeds through
-    the backend. The schedule at a point depends only on that point's
-    samples, so shards never coordinate and serial, pooled and sharded
-    execution stay bit-identical.
+    Each round every open point asks ``schedule`` for its next block. A
+    block found in ``cache`` is loaded; otherwise, if ``mine(i)``, it is
+    simulated — all of a round's fresh blocks as one backend batch, each
+    block stored the moment its last replicate lands, so an interruption
+    loses at most the blocks still in flight. A block that is neither
+    cached nor ours (another shard's) leaves its point *blocked*.
+
+    Returns ``(samples, blocked)``: every point's samples in replicate
+    order, and the indices of the blocked points.
+    """
+    from repro.experiments.runner import SeriesValidator, _run_batched
+
+    blocks = PointBlocks(spec, cache)
+    # One validator sees every cached and fresh sample: a cached block
+    # from an older metric line-up mixed with fresh ones would otherwise
+    # aggregate into misaligned series.
+    validator = SeriesValidator(spec.effective_runs)
+    samples: "list[list[Mapping[str, float]]]" = [[] for _ in spec.values]
+    blocked: "set[int]" = set()
+
+    def commit(i: int, step: "tuple[int, int]"):
+        def publish(block) -> None:
+            blocks.store(i, *step, block)
+            samples[i].extend(block)
+
+        return publish
+
+    open_points = list(range(len(samples)))
+    while open_points:
+        spans = []
+        still_open = []
+        for i in open_points:
+            step = schedule.next(samples[i])
+            if step is None:
+                continue
+            block = blocks.load(i, *step)
+            if block is not None:
+                task = ReplicateTask(x=spec.values[i], seed=None)
+                for sample in block:
+                    validator(len(samples[i]), task, sample)
+                    samples[i].append(sample)
+            elif mine(i):
+                spans.append((blocks.tasks(i, *step), commit(i, step)))
+            else:
+                blocked.add(i)
+                continue
+            still_open.append(i)
+        open_points = still_open
+        if spans:
+            _run_batched(
+                backend if backend is not None else SerialBackend(),
+                blocks.replicate,
+                spans,
+                validator,
+            )
+    return samples, blocked
+
+
+def _aggregate(
+    spec: SweepSpec,
+    points: "list[int]",
+    samples: "list[list[Mapping[str, float]]]",
+    notes: str,
+) -> "FigureResult":
+    """Fold the samples of sweep points ``points`` into a figure result.
+
+    Without confidence intervals (no replication spec, or ``ci_level=0``)
+    every point holds exactly ``effective_runs`` samples and the result is
+    the historical fixed-runs one; otherwise it carries per-point CIs and
+    replicate counts.
     """
     from repro.experiments.runner import (
-        SeriesValidator,
         aggregate_point_summaries,
-        point_meets_target,
-        spawn_point_extension_tasks,
-        spawn_tasks,
+        aggregate_samples,
     )
 
     rep = spec.replication
-    runs = spec.effective_runs
-    if rep.adaptive and rep.max_runs < runs:
-        raise ValueError(
-            f"ReplicationSpec.max_runs ({rep.max_runs}) is below the "
-            f"initial replicate count ({runs})"
-        )
-    if backend is None:
-        backend = SerialBackend()
-    x_values = list(spec.values)
-    n_points = len(x_values)
-    point_specs = [spec.experiment_at(x) for x in x_values]
-    replicate = SpecReplicate(spec)
-    validator = SeriesValidator(runs)
-    use_points = cache is not None and resume
-
-    def is_mine(i: int) -> bool:
-        return shard is None or i % shard[1] == shard[0]
-
-    # -- phase 1: initial blocks (flat seeds, plain point entries) ----------
-    samples: "list[list[Mapping[str, float]] | None]" = [None] * n_points
-    pending_initial: "list[int]" = []
-    for i in range(n_points):
-        block = (
-            cache.load_point(point_specs[i], spec.seed, i * runs, runs)
-            if use_points
-            else None
-        )
-        if block is not None:
-            samples[i] = list(block)
-        elif is_mine(i):
-            pending_initial.append(i)
-
-    if pending_initial:
-        tasks = spawn_tasks(x_values, runs, spec.seed)
-
-        def initial_commit(i: int):
-            def commit(block) -> None:
-                samples[i] = list(block)
-                if use_points:
-                    cache.store_point(
-                        point_specs[i], spec.seed, i * runs, runs, block
-                    )
-
-            return commit
-
-        _run_batched(
-            backend,
-            replicate,
-            [
-                (tasks[i * runs : (i + 1) * runs], initial_commit(i))
-                for i in pending_initial
-            ],
-            validator,
-        )
-
-    # -- phase 2: adaptive top-ups ------------------------------------------
-    incomplete = {i for i in range(n_points) if samples[i] is None}
-    if rep.adaptive:
-        batch = rep.batch_size(spec.runs)
-        # A point leaves `open_points` once it is terminal — target met,
-        # max_runs reached, or owned by an unfinished other shard. Its
-        # samples can never change after that, so re-running the CI check
-        # (a full bootstrap per series under method="bootstrap") every
-        # round for settled points would be pure waste.
-        open_points = [i for i in range(n_points) if i not in incomplete]
-        while open_points:
-            spans = []
-            progressed = False
-            still_open = []
-            for i in open_points:
-                have = len(samples[i])
-                if have >= rep.max_runs or point_meets_target(
-                    samples[i], rep, spec.comparison
-                ):
-                    continue
-                size = min(batch, rep.max_runs - have)
-                block = (
-                    cache.load_point_extension(
-                        point_specs[i], spec.seed, i, have, size
-                    )
-                    if use_points
-                    else None
-                )
-                if block is not None:
-                    samples[i].extend(block)
-                    progressed = True
-                    still_open.append(i)
-                elif is_mine(i):
-
-                    def extension_commit(i=i, have=have, size=size):
-                        def commit(block) -> None:
-                            if use_points:
-                                cache.store_point_extension(
-                                    point_specs[i], spec.seed, i, have, size,
-                                    block,
-                                )
-                            samples[i].extend(block)
-
-                        return commit
-
-                    spans.append(
-                        (
-                            spawn_point_extension_tasks(
-                                x_values[i], i, have, size, spec.seed
-                            ),
-                            extension_commit(),
-                        )
-                    )
-                    still_open.append(i)
-                else:
-                    # Another shard owns this point and has not finished
-                    # its top-ups yet; leave it to them.
-                    incomplete.add(i)
-            open_points = still_open
-            if spans:
-                _run_batched(backend, replicate, spans, validator)
-                progressed = True
-            if not progressed:
-                break
-
-    # Cached and fresh samples must agree on the series key set — a cached
-    # block from an older metric line-up mixed with fresh ones would
-    # otherwise aggregate into misaligned series.
-    check = SeriesValidator(runs)
-    index = 0
-    for i in range(n_points):
-        for sample in samples[i] or ():
-            check(index, ReplicateTask(x=x_values[i], seed=None), sample)
-            index += 1
-
-    complete = [i for i in range(n_points) if i not in incomplete]
-    if len(complete) < n_points:
-        # Only reachable in shard mode: other shards' points are missing
-        # or mid-top-up. Return what is finished — callers fan shards out
-        # in parallel and let any later full run assemble the figure.
-        partial = aggregate_point_summaries(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=[x_values[i] for i in complete],
-            point_samples=[samples[i] for i in complete],
-            ci_level=rep.ci_level,
-            method=rep.method,
-            notes=(
-                f"partial: {len(complete)}/{n_points} points "
-                f"(shard {shard[0] + 1}/{shard[1]}); rerun unsharded to "
-                "assemble"
-            ),
-            comparison=spec.comparison,
-        )
-        return _display_x(spec, partial)
-
-    result = _display_x(
-        spec,
-        aggregate_point_summaries(
-            figure=spec.figure,
-            title=spec.resolved_title(),
-            x_label=spec.resolved_x_label(),
-            x_values=x_values,
-            point_samples=samples,
-            ci_level=rep.ci_level,
-            method=rep.method,
-            notes=spec.notes,
-            comparison=spec.comparison,
-        ),
+    common = dict(
+        figure=spec.figure,
+        title=spec.resolved_title(),
+        x_label=spec.resolved_x_label(),
+        x_values=[spec.values[i] for i in points],
+        notes=notes,
+        comparison=spec.comparison,
     )
-    if cache is not None:
-        cache.store(spec, result)
-    return result
+    if rep is None or rep.ci_level == 0:
+        result = aggregate_samples(
+            samples=[sample for i in points for sample in samples[i]],
+            runs=spec.effective_runs,
+            **common,
+        )
+    else:
+        result = aggregate_point_summaries(
+            point_samples=[samples[i] for i in points],
+            ci_level=rep.ci_level,
+            method=rep.method,
+            **common,
+        )
+    return _display_x(spec, result)
 
 
 # ---------------------------------------------------------------------------

@@ -892,6 +892,15 @@ class SweepSpec:
             raise ValueError("SweepSpec needs at least one value")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if (
+            self.replication is not None
+            and self.replication.adaptive
+            and self.replication.max_runs < self.effective_runs
+        ):
+            raise ValueError(
+                f"ReplicationSpec.max_runs ({self.replication.max_runs}) is "
+                f"below the initial replicate count ({self.effective_runs})"
+            )
         if isinstance(self.parameter, (list, tuple)):
             paths = tuple(str(p) for p in self.parameter)
             if not paths:

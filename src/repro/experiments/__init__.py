@@ -2,8 +2,9 @@
 
 ``repro.experiments.figures`` holds one function per figure/table of the
 paper's §V; ``repro.experiments.ablations`` holds the extra design-choice
-studies; :func:`sweep_experiment` is the multi-run engine and
-:func:`format_figure` the plain-text renderer used by the benchmarks.
+studies; :func:`sweep_experiment` runs closure-based multi-run sweeps
+(spec-based ones go through :func:`repro.api.run_sweep`) and
+:func:`format_figure` is the plain-text renderer used by the benchmarks.
 
 Every figure/ablation registers itself in :data:`repro.api.FIGURES` via
 ``@register_figure`` (together with its quick-scale parameters), and the

@@ -2,9 +2,22 @@
 
 Every quantitative figure of the paper is a sweep: vary one parameter
 (network size, λ, T), run several independent replicates per point, and
-average the total costs per algorithm. :func:`sweep_experiment` is that
-engine; a figure module only supplies the *replicate function* mapping
-``(x, rng) -> {series name: value}``.
+average the total costs per algorithm. This module holds the pieces every
+executor of a sweep shares:
+
+* the seeds — :func:`spawn_tasks` (a point's initial block) and
+  :func:`spawn_point_extension_tasks` (its adaptive top-ups);
+* the replication schedule — :class:`PointSchedule` names the next
+  replicate block of a point from the samples it already has, so the
+  in-process engine (:func:`repro.api.experiment.run_sweep`) and the queue
+  workers (:mod:`repro.queue.worker`) walk one schedule;
+* :func:`_run_batched`, which runs replicate blocks as one backend batch;
+* the aggregators turning per-replicate samples into a
+  :class:`FigureResult`.
+
+:func:`sweep_experiment` runs a *replicate function* mapping
+``(x, rng) -> {series name: value}`` — the closure sweeps of the ablation
+studies — over the same seeds and batch runner.
 
 Determinism: replicate ``j`` of sweep point ``i`` always receives the same
 child generator (derived from one master seed through
@@ -36,6 +49,7 @@ from repro.api.execution import ExecutionBackend, ReplicateTask, SerialBackend
 __all__ = [
     "ComparisonResult",
     "FigureResult",
+    "PointSchedule",
     "SeriesValidator",
     "aggregate_point_summaries",
     "aggregate_samples",
@@ -440,17 +454,13 @@ class SeriesValidator:
     Every replicate of a sweep must report the same series names; a ragged
     key set would merge silently into misaligned series. The first sample
     seen fixes the expectation, every later one is compared against it.
-    ``calls`` counts hook invocations so callers can detect backends that
-    ignored (or only partially invoked) the hook and re-validate.
     """
 
     def __init__(self, runs: int) -> None:
         self.runs = runs
         self.expected: "set[str] | None" = None
-        self.calls = 0
 
     def __call__(self, index: int, task: ReplicateTask, sample) -> None:
-        self.calls += 1
         keys = set(sample)
         if self.expected is None:
             self.expected = keys
@@ -517,6 +527,57 @@ def point_meets_target(
         if not summary.meets(rep.target_halfwidth, rep.relative):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class PointSchedule:
+    """Which replicate block a sweep point runs next.
+
+    :meth:`next` maps the samples a point already has to its next block
+    ``(offset, size)`` — replicates ``offset .. offset + size`` — or
+    ``None`` once the point is finished:
+
+    * no samples yet: the initial block ``(0, runs)``, at the flat seeds of
+      :func:`spawn_tasks`;
+    * under an adaptive ``replication``: top-ups ``(have, min(batch,
+      max_runs - have))``, at the seeds of
+      :func:`spawn_point_extension_tasks`, until
+      :func:`point_meets_target` holds or the point has ``max_runs``;
+    * otherwise nothing after the initial block.
+
+    The schedule is a pure function of the point's samples, so every
+    executor that replays the same cached blocks — serial, pooled, sharded
+    or a queue worker — walks the same block coordinates, hence the same
+    seeds and cache entries.
+    """
+
+    runs: int
+    replication: "ReplicationSpec | None" = None
+    comparison: "ComparisonSpec | None" = None
+
+    @classmethod
+    def of(cls, spec: "SweepSpec") -> "PointSchedule":
+        """The schedule of ``spec``'s points: fixed, or adaptive top-ups."""
+        rep = spec.replication
+        if rep is None or not rep.adaptive:
+            return cls(spec.effective_runs)
+        return cls(spec.effective_runs, rep, spec.comparison)
+
+    def next(
+        self, samples: "Sequence[Mapping[str, float]]"
+    ) -> "tuple[int, int] | None":
+        """The block after ``samples``, or ``None`` when the point is done."""
+        have = len(samples)
+        if have == 0:
+            return (0, self.runs)
+        rep = self.replication
+        if (
+            rep is None
+            or have >= rep.max_runs
+            or point_meets_target(samples, rep, self.comparison)
+        ):
+            return None
+        return (have, min(rep.batch_size(self.runs), rep.max_runs - have))
 
 
 def compute_comparisons(
@@ -696,6 +757,40 @@ def aggregate_point_summaries(
     )
 
 
+def _run_batched(backend, replicate, spans, validator) -> None:
+    """Run several task blocks as one backend batch, committing per block.
+
+    ``spans`` is a list of ``(tasks, commit)`` pairs; ``commit(block)`` is
+    invoked with a block's samples the moment its last replicate lands
+    (results arrive in task order), so a crash mid-batch loses at most the
+    blocks still in flight. ``validator`` (a :class:`SeriesValidator`)
+    checks every sample as it lands, failing fast on a ragged series key
+    set; backends that ignore (or only partially drive) the result hook
+    are backstopped from the returned list.
+    """
+    tasks = [task for block_tasks, _commit in spans for task in block_tasks]
+    bounds = [0]
+    for block_tasks, _commit in spans:
+        bounds.append(bounds[-1] + len(block_tasks))
+
+    seen: "list[Mapping[str, float]]" = []
+    committed = 0
+
+    def on_result(index, task, sample) -> None:
+        nonlocal committed
+        validator(index, task, sample)
+        seen.append(sample)
+        while committed < len(spans) and len(seen) >= bounds[committed + 1]:
+            spans[committed][1](seen[bounds[committed] : bounds[committed + 1]])
+            committed += 1
+
+    results = backend.run_replicates(replicate, tasks, on_result=on_result)
+    for index in range(len(seen), len(tasks)):
+        validator(index, tasks[index], results[index])
+    for k in range(committed, len(spans)):
+        spans[k][1](results[bounds[k] : bounds[k + 1]])
+
+
 def sweep_experiment(
     figure: str,
     title: str,
@@ -730,24 +825,13 @@ def sweep_experiment(
     """
     x_values = list(x_values)
     tasks = spawn_tasks(x_values, runs, seed)
-    if backend is None:
-        backend = SerialBackend()
-
-    # Validate every replicate against the very first one — a ragged key set
-    # within the first sweep point must fail too, not merge silently into
-    # misaligned series. Running the check as a result hook fails fast: a
-    # serial sweep aborts at the offending replicate instead of burning the
-    # rest of a long run first.
-    check_series = SeriesValidator(runs)
-    samples = backend.run_replicates(replicate, tasks, on_result=check_series)
-
-    if check_series.calls < len(tasks):
-        # Backstop for third-party backends that ignore (or partially
-        # invoke) on_result; skipped entirely when the hook already saw
-        # every result — no double validation pass on large serial sweeps.
-        for index, (task, sample) in enumerate(zip(tasks, samples)):
-            check_series(index, task, sample)
-
+    samples: "list[Mapping[str, float]]" = []
+    _run_batched(
+        backend if backend is not None else SerialBackend(),
+        replicate,
+        [(tasks, samples.extend)],
+        SeriesValidator(runs),
+    )
     return aggregate_samples(
         figure, title, x_label, x_values, samples, runs, notes=notes,
         comparison=comparison,

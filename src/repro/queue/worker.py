@@ -16,12 +16,15 @@ serial run:
   pooled or sharded run reads and writes. Executing a task twice (a
   re-served lease racing its presumed-dead owner) rewrites identical
   bytes; atomic last-writer-wins renames make that harmless.
-* **The adaptive schedule replays exactly.** A top-up lease loads the
-  point's samples cache-first, then runs *at most one* fresh batch using
-  the very ``batch_size``/``max_runs``/:func:`point_meets_target` walk of
-  the serial engine — the schedule at a point depends only on that point's
-  samples, so whichever worker executes the batch, the replicate
-  coordinates (and hence seeds and samples) are identical.
+* **One schedule, replayed.** ``point`` and ``topup`` leases both walk
+  the point's :class:`~repro.experiments.runner.PointSchedule` — the
+  schedule the in-process engine walks — loading cached blocks through
+  the same :class:`~repro.api.experiment.PointBlocks` coordinates, and
+  simulate *at most one* fresh block per lease. The schedule at a point
+  depends only on that point's samples, so whichever worker executes a
+  block, its coordinates (and hence seeds and samples) are identical. A
+  lease chains a ``topup`` successor only while the schedule has blocks
+  left.
 * **Assembly is a warm-cache ``run_sweep``.** When the last task of a
   sweep job lands, one worker wins :meth:`Broker.claim_finalize` and calls
   :func:`~repro.api.experiment.run_sweep` over the shared cache: every
@@ -66,11 +69,6 @@ def _sweep_from(lease_spec: "Mapping | None") -> SweepSpec:
     return SweepSpec.from_dict(lease_spec)
 
 
-def _confidence_driven(spec: SweepSpec) -> bool:
-    """Whether ``run_sweep`` would take the confidence-aware path."""
-    return spec.replication is not None and spec.replication.ci_level > 0
-
-
 def enqueue_sweep(
     broker: Broker,
     cache: ResultCache,
@@ -103,111 +101,50 @@ def enqueue_sweep(
             "spec": spec.to_dict(),
             "tasks": {},
         }
+    if requeue:
+        # a terminal job the cache no longer answers — stale (evicted
+        # entry) or failed — is re-created
+        state = broker.job_state(job_id)
+        if state is not None and state["status"] in ("done", "failed"):
+            broker.delete_job(job_id)
     state = broker.enqueue_job(
         job_id,
         "sweep",
         spec=spec.to_dict(),
         tasks=[("point", {"point": i}) for i in range(len(spec.values))],
     )
-    if not state["created"] and state["status"] in ("done", "failed"):
-        # terminal job, but the cache no longer answers: stale (evicted
-        # entry) or failed — re-queue only on request
-        if requeue:
-            broker.delete_job(job_id)
-            state = broker.enqueue_job(
-                job_id,
-                "sweep",
-                spec=spec.to_dict(),
-                tasks=[("point", {"point": i}) for i in range(len(spec.values))],
-            )
     state.setdefault("cached", False)
     return state
 
 
-def _materialize_point(
-    spec: SweepSpec, index: int, cache: ResultCache
-) -> "list[Mapping[str, float]]":
-    """The initial replicate block of sweep point ``index``, cache-first.
+def _advance_point(spec: SweepSpec, index: int, cache: ResultCache) -> bool:
+    """Advance sweep point ``index`` by at most one fresh replicate block.
 
-    Exactly the serial resumable path's per-point step: load the point
-    entry, else simulate the point's ``runs`` flat-seeded tasks serially
-    and store them. Idempotent — a racing twin writes identical bytes.
+    Walks the point's :class:`~repro.experiments.runner.PointSchedule`
+    replaying every cached block (free), then simulates and stores the
+    first missing block, if any, and returns — so a lease stays
+    short-lived and the rest of the schedule re-enqueues as a fresh task
+    any worker can pick up. Idempotent: a racing twin writes identical
+    bytes. Returns whether the point has blocks left to run.
     """
-    from repro.api.experiment import SpecReplicate
-    from repro.experiments.runner import SeriesValidator, spawn_tasks
+    from repro.api.experiment import PointBlocks
+    from repro.experiments.runner import PointSchedule, SeriesValidator
 
-    x_values = list(spec.values)
-    runs = spec.effective_runs
-    experiment = spec.experiment_at(x_values[index])
-    block = cache.load_point(experiment, spec.seed, index * runs, runs)
-    if block is not None:
-        return block
-    tasks = spawn_tasks(x_values, runs, spec.seed)[
-        index * runs : (index + 1) * runs
-    ]
-    validator = SeriesValidator(runs)
-    block = SerialBackend().run_replicates(
-        SpecReplicate(spec), tasks, on_result=validator
-    )
-    cache.store_point(experiment, spec.seed, index * runs, runs, block)
-    return block
-
-
-def _topup_step(
-    spec: SweepSpec,
-    index: int,
-    samples: "list[Mapping[str, float]]",
-    cache: ResultCache,
-) -> "tuple[bool, bool]":
-    """Advance point ``index``'s adaptive schedule by at most one fresh batch.
-
-    Replays every *cached* extension batch first (free), then simulates at
-    most one batch before returning, so a lease stays short-lived and the
-    remaining schedule re-enqueues as a fresh task any worker can pick up.
-    Returns ``(done, simulated)``: ``done`` when the point needs no further
-    top-ups (target met or ``max_runs`` reached).
-
-    The batch coordinates are identical to the serial engine's
-    (:func:`~repro.api.experiment._run_confidence_sweep`): next batch
-    starts at ``len(samples)`` with size ``min(batch, max_runs - have)``.
-    """
-    from repro.api.experiment import SpecReplicate
-    from repro.experiments.runner import (
-        SeriesValidator,
-        point_meets_target,
-        spawn_point_extension_tasks,
-    )
-
-    rep = spec.replication
-    if rep is None or not rep.adaptive:
-        return True, False
-    x = list(spec.values)[index]
-    experiment = spec.experiment_at(x)
-    batch = rep.batch_size(spec.runs)
-    simulated = False
-    while True:
-        have = len(samples)
-        if have >= rep.max_runs or point_meets_target(
-            samples, rep, spec.comparison
-        ):
-            return True, simulated
-        if simulated:
-            return False, True
-        size = min(batch, rep.max_runs - have)
-        block = cache.load_point_extension(
-            experiment, spec.seed, index, have, size
-        )
+    schedule = PointSchedule.of(spec)
+    blocks = PointBlocks(spec, cache)
+    samples: "list[Mapping[str, float]]" = []
+    while (step := schedule.next(samples)) is not None:
+        block = blocks.load(index, *step)
         if block is None:
-            tasks = spawn_point_extension_tasks(x, index, have, size, spec.seed)
-            validator = SeriesValidator(size)
+            tasks = blocks.tasks(index, *step)
             block = SerialBackend().run_replicates(
-                SpecReplicate(spec), tasks, on_result=validator
+                blocks.replicate, tasks, on_result=SeriesValidator(len(tasks))
             )
-            cache.store_point_extension(
-                experiment, spec.seed, index, have, size, block
-            )
-            simulated = True
+            blocks.store(index, *step, block)
+            samples.extend(block)
+            return schedule.next(samples) is not None
         samples.extend(block)
+    return False
 
 
 def execute_lease(
@@ -215,10 +152,9 @@ def execute_lease(
 ) -> "bytes | None":
     """Run one leased task; returns the result blob to store on the row.
 
-    * ``point`` — materialise the point's initial block into the cache;
-      under an adaptive spec, chain the point's first *top-up* task.
-    * ``topup`` — replay the point's samples (cache-first), advance the
-      adaptive schedule one batch, and re-enqueue unless the point is done.
+    * ``point`` / ``topup`` — advance the point's schedule by at most one
+      fresh block (:func:`_advance_point`; a ``point`` task starts with the
+      initial block) and chain a ``topup`` task while blocks remain.
     * ``block`` — a pickled ``(replicate, tasks)`` batch from a
       :class:`~repro.api.execution.QueueBackend`; the samples travel back
       pickled on the task row (no spec/cache involved).
@@ -230,21 +166,15 @@ def execute_lease(
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
+    if lease.kind not in ("point", "topup"):
+        raise ValueError(f"unknown task kind {lease.kind!r}")
     spec = _sweep_from(lease.spec)
     index = int(lease.payload["point"])
-    samples = list(_materialize_point(spec, index, cache))
-    if lease.kind == "point":
-        if _confidence_driven(spec) and spec.replication.adaptive:
-            broker.add_task(lease.job, "topup", {"point": index})
-        return None
-    if lease.kind == "topup":
-        done, _simulated = _topup_step(spec, index, samples, cache)
-        if not done:
-            broker.add_task(
-                lease.job, "topup", {"point": index}, successor_of=lease.task_id
-            )
-        return None
-    raise ValueError(f"unknown task kind {lease.kind!r}")
+    if _advance_point(spec, index, cache):
+        broker.add_task(
+            lease.job, "topup", {"point": index}, successor_of=lease.task_id
+        )
+    return None
 
 
 def try_finalize(

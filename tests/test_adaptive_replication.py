@@ -138,11 +138,11 @@ class TestReplicationSpecValidation:
         ).effective_runs == 7
 
     def test_max_runs_below_initial_runs_surfaces_at_run_time(self):
-        spec = small_sweep(
-            runs=6,
-            replication=ReplicationSpec(target_halfwidth=1.0, max_runs=3),
-        )
         with pytest.raises(ValueError, match="max_runs"):
+            spec = small_sweep(
+                runs=6,
+                replication=ReplicationSpec(target_halfwidth=1.0, max_runs=3),
+            )
             run_sweep(spec)
 
 

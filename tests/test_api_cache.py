@@ -356,6 +356,19 @@ class TestMaintenance:
         assert list(iterator) == []  # remaining buckets skipped, no error
         assert cache.stats()["entries"] == 0
 
+    def test_entries_deleted_within_a_listed_bucket_are_skipped(
+        self, tmp_path
+    ):
+        # the bucket of the first entry was listed before the deletion
+        bucket = tmp_path / "ab"
+        bucket.mkdir()
+        for name in ("ab01.json", "ab02.json"):
+            (bucket / name).write_text("{}")
+        iterator = ResultCache(tmp_path).entries()
+        assert next(iterator) == bucket / "ab01.json"
+        (bucket / "ab02.json").unlink()
+        assert list(iterator) == []
+
 
 class TestFigureCacheThreading:
     def test_figure_function_accepts_cache(self, tmp_path):

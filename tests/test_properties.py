@@ -355,11 +355,17 @@ def sweep_specs(draw):
         parameter = paths
     replication = draw(st.none() | replication_specs())
     adaptive = replication is not None and replication.adaptive
+    # an adaptive spec starting above its max_runs cap is invalid
+    runs_cap = (
+        min(10, replication.max_runs)
+        if adaptive and replication.runs is None
+        else 10
+    )
     return SweepSpec(
         experiment=experiment,
         parameter=parameter,
         values=values,
-        runs=draw(st.integers(1, 10)),
+        runs=draw(st.integers(1, runs_cap)),
         seed=draw(st.integers(0, 2**31)),
         figure=draw(_names),
         title=draw(st.one_of(st.just(""), _names)),

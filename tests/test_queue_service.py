@@ -12,6 +12,7 @@ from repro.api.experiment import run_sweep
 from repro.api.specs import (
     ExperimentSpec,
     PolicySpec,
+    ReplicationSpec,
     ScenarioSpec,
     SweepSpec,
     TopologySpec,
@@ -89,6 +90,21 @@ class TestEndpoints:
         status, payload = request(server, "/sweep", body={"figure": 42})
         assert status == 400
         assert "malformed sweep spec" in payload["error"]
+
+    def test_max_runs_below_initial_runs_is_400_with_nothing_enqueued(
+        self, server
+    ):
+        body = small_sweep().to_dict()
+        body["runs"] = 6
+        body["replication"] = ReplicationSpec(
+            target_halfwidth=1.0, max_runs=3
+        ).to_dict()
+        status, payload = request(server, "/sweep", body=body)
+        assert status == 400
+        assert "max_runs" in payload["error"]
+        assert "\n" not in payload["error"]
+        stats = server.broker.stats()
+        assert stats["jobs"] == {} and stats["tasks"] == {}
 
     def test_stats_cover_broker_and_cache(self, server):
         status, payload = request(server, "/stats")

@@ -174,7 +174,10 @@ class TestDrainBitIdentity:
         serial = run_sweep(spec)
         enqueue_sweep(broker, cache, spec)
         executed = drain(broker, cache)
-        assert executed >= 4  # 2 point tasks + at least one topup each
+        # one point task per point plus one topup task per top-up block:
+        # a point whose initial block meets the target chains no topup
+        blocks = sum(-(-(n - spec.runs) // spec.runs) for n in serial.counts)
+        assert executed == len(spec.values) + blocks
         assert cache.load(spec).to_dict() == serial.to_dict()
 
     def test_topup_chain_runs_every_batch_in_tasks(self, broker, cache):
@@ -221,6 +224,22 @@ class TestLeaseExecution:
         assert cache.load_point(
             experiment, spec.seed, index * spec.runs, spec.runs
         ) is not None
+
+    def test_point_meeting_its_target_chains_no_topup(self, broker, cache):
+        # any two replicates meet a target this loose
+        spec = adaptive_sweep(
+            replication=ReplicationSpec(
+                ci_level=0.9, target_halfwidth=1e12, max_runs=6
+            ),
+            comparison=None,
+        )
+        job_id = enqueue_sweep(broker, cache, spec)["job"]
+        lease = broker.lease_task("w")
+        assert lease.kind == "point"
+        execute_lease(broker, lease, cache)
+        assert broker.complete(lease)
+        kinds = [task["kind"] for task in broker.tasks_for(job_id)]
+        assert kinds == ["point", "point"]
 
     def test_finalize_assembles_after_last_task(self, broker, cache):
         spec = small_sweep()

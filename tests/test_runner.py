@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments.runner import FigureResult, sweep_experiment
+from repro.api.specs import (
+    ComparisonSpec,
+    ExperimentSpec,
+    PolicySpec,
+    ReplicationSpec,
+    ScenarioSpec,
+    SweepSpec,
+    TopologySpec,
+)
+from repro.experiments.runner import FigureResult, PointSchedule, sweep_experiment
 
 
 class TestFigureResult:
@@ -178,3 +189,91 @@ class TestSweepExperiment:
             runs=1, seed=0, notes="hello",
         )
         assert result.notes == "hello"
+
+
+def _samples(values):
+    return [{"y": float(v)} for v in values]
+
+
+#: Targets every two-replicate block meets, and none that varies can.
+LOOSE = ReplicationSpec(ci_level=0.9, target_halfwidth=1e12, max_runs=10)
+NEVER = ReplicationSpec(ci_level=0.9, target_halfwidth=0.0, max_runs=7, batch=3)
+
+
+class TestPointSchedule:
+    def test_initial_block_starts_at_zero(self):
+        assert PointSchedule(4).next([]) == (0, 4)
+        assert PointSchedule(4, NEVER).next([]) == (0, 4)
+
+    def test_fixed_schedule_stops_after_the_initial_block(self):
+        assert PointSchedule(4).next(_samples([1, 2, 3, 4])) is None
+
+    def test_top_ups_are_capped_by_max_runs(self):
+        schedule = PointSchedule(2, NEVER)
+        assert schedule.next(_samples([1, 2])) == (2, 3)
+        assert schedule.next(_samples([1, 2, 3, 4, 5])) == (5, 2)
+
+    def test_none_at_max_runs(self):
+        assert PointSchedule(2, NEVER).next(_samples(range(7))) is None
+
+    def test_none_once_the_target_is_met(self):
+        assert PointSchedule(2, LOOSE).next(_samples([1, 2])) is None
+
+    def test_batch_defaults_to_the_initial_runs(self):
+        assert PointSchedule(3, LOOSE).next(_samples([1])) == (1, 3)
+
+    def test_of_a_sweep_spec(self):
+        spec = SweepSpec(
+            experiment=ExperimentSpec(
+                topology=TopologySpec("erdos_renyi", {"n": 30}),
+                scenario=ScenarioSpec("commuter"),
+                policies=(PolicySpec("onth"), PolicySpec("onbr")),
+            ),
+            runs=3,
+        )
+        assert PointSchedule.of(spec) == PointSchedule(3)
+        fixed = SweepSpec(
+            experiment=spec.experiment,
+            runs=3,
+            replication=ReplicationSpec(runs=2, ci_level=0.9),
+        )
+        assert PointSchedule.of(fixed) == PointSchedule(2)
+        comparison = ComparisonSpec(baseline="ONTH")
+        adaptive = SweepSpec(
+            experiment=spec.experiment,
+            runs=3,
+            replication=NEVER,
+            comparison=comparison,
+        )
+        assert PointSchedule.of(adaptive) == PointSchedule(3, NEVER, comparison)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.integers(1, 6),
+        batch=st.none() | st.integers(1, 5),
+        extra=st.integers(0, 12),
+        target=st.floats(0.0, 40.0),
+        relative=st.booleans(),
+        values=st.lists(st.floats(0.0, 100.0), min_size=18, max_size=18),
+    )
+    def test_blocks_tile_the_replicates_up_to_max_runs(
+        self, runs, batch, extra, target, relative, values
+    ):
+        max_runs = runs + extra
+        schedule = PointSchedule(
+            runs,
+            ReplicationSpec(
+                ci_level=0.9, target_halfwidth=target, relative=relative,
+                max_runs=max_runs, batch=batch,
+            ),
+        )
+        samples = []
+        blocks = []
+        while (step := schedule.next(samples)) is not None:
+            offset, size = step
+            assert offset == len(samples)  # no gap, no overlap
+            assert size >= 1 and offset + size <= max_runs
+            blocks.append(step)
+            samples.extend(_samples(values[offset : offset + size]))
+        assert blocks[0] == (0, runs)
+        assert runs <= len(samples) <= max_runs
