@@ -130,17 +130,16 @@ def _migration_choices(
 
     The server leaves its origin empty and reappears at the target; the
     inactive cache is untouched. Targets hosting any server are excluded
-    (one server per node).
+    (one server per node) before the evaluator prices the family, so each
+    row's argmin is an exact price.
     """
     active = np.asarray(config.active, dtype=np.int64)
-    occupied = np.asarray(sorted(config.occupied), dtype=np.int64)
     run = costs.running_cost_counts(config.n_active, len(cache))
     choices = []
     # One bulk call for all k families: the evaluator serves every row
     # from a single stacked pass; row-wise argmin matches the former
     # per-server scans exactly.
-    access_all = batch.migration_costs_all(active)
-    access_all[:, occupied] = np.inf
+    access_all = batch.migration_costs_all(active, cached=config.inactive)
     targets = np.argmin(access_all, axis=1)
     for i in range(active.size):
         target = int(targets[i])
@@ -171,12 +170,12 @@ def _addition_choices(
 ) -> list[Choice]:
     """Best in-place activation and best creation-at-empty-node."""
     active = np.asarray(config.active, dtype=np.int64)
-    addition = batch.addition_costs(active)
+    queue_nodes = np.asarray(cache.nodes, dtype=np.int64)
+    addition = batch.addition_costs(active, cached=queue_nodes)
     run = costs.running_cost_counts
     k_active, k_inactive = config.n_active, len(cache)
     choices = []
 
-    queue_nodes = np.asarray(cache.nodes, dtype=np.int64)
     if queue_nodes.size:
         local = int(np.argmin(addition[queue_nodes]))
         target = int(queue_nodes[local])

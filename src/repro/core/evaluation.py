@@ -18,8 +18,13 @@ Python work:
   ``k`` migration families are fused into stacked passes;
 * the load term is added exactly. For assignment-invariant load models
   (linear load, uniform strengths — the paper's default) it is a constant
-  across candidates; otherwise the family is ranked by latency and a
-  shortlist is re-scored exactly, including per-round loads.
+  across candidates; otherwise every candidate gets a lower bound (its
+  latency plus a perfectly balanced load) and the candidates are scored
+  exactly, per-round loads included, in blocks of growing size in bound
+  order until the family's argmin is an exact score. Each block is one
+  numpy pass (:meth:`RequestBatch._score_block`). Nodes a family may not
+  use (occupied migration targets) are masked before this walk, so the
+  argmin a caller reads is always exactly priced.
 
 Where the window's requests and distance columns come from is the only
 thing that varies. A plain :class:`RequestBatch` copies its rounds and
@@ -51,9 +56,15 @@ from repro.workload.base import Trace
 
 __all__ = ["RequestBatch", "DistanceGather", "GatherWindow"]
 
-#: How many latency-best candidates are re-scored exactly when the load
-#: model is not assignment-invariant.
+#: First block of the exact walk for load models that are not
+#: assignment-invariant: the best-bounded candidates scored exactly in one
+#: pass. Each further block is twice the size of the one before.
 _SHORTLIST_SIZE = 8
+
+#: Cap on the elements of one exact block-scoring pass, ``candidates ×
+#: max(requests, rounds × servers)``; larger blocks are scored in row
+#: chunks (identical values, lower peak memory).
+_BLOCK_ELEMS_MAX = 1 << 22
 
 #: Cap on the stacked ``(k, n, requests)`` migration broadcast; above this
 #: the scan runs per-server rows (identical values, lower peak memory).
@@ -217,15 +228,20 @@ class RequestBatch:
             return np.full(self.flat.size, np.inf)
         return self._distance_block(active).min(axis=0)
 
-    def addition_costs(self, active: "np.ndarray | tuple[int, ...]") -> np.ndarray:
+    def addition_costs(
+        self,
+        active: "np.ndarray | tuple[int, ...]",
+        cached: "np.ndarray | tuple[int, ...]" = (),
+    ) -> np.ndarray:
         """Access cost of the window for ``active + {u}``, for every node ``u``.
 
         Entry ``u`` of the result is the exact window access cost of the
         placement ``active ∪ {u}`` (for ``u`` already in ``active`` this
         equals the unchanged cost). One ``(n × R)`` broadcast plus — for
-        non-invariant load models — an exact re-score of the latency-best
-        shortlist; other entries then carry the latency plus a lower bound
-        of the load, which preserves the argmin.
+        non-invariant load models — an exact walk per candidate group:
+        the ``cached`` nodes (in-place activations) and the remaining
+        unoccupied nodes (creations). Each group's argmin is exact; other
+        entries may carry the latency plus a lower bound of the load.
         """
         active = np.asarray(active, dtype=np.int64)
         flat = self.flat
@@ -242,51 +258,118 @@ class RequestBatch:
         latency = self._memoised("add", active, latencies)
         if self._load_is_invariant():
             return latency + self._invariant_load()
-        return self._with_exact_shortlist(latency, active)
+        return self._with_exact_shortlist(
+            latency, active, np.asarray(cached, dtype=np.int64)
+        )
 
     def _with_exact_shortlist(
-        self, latency: np.ndarray, active: np.ndarray
+        self, latency: np.ndarray, active: np.ndarray, cached: np.ndarray
     ) -> np.ndarray:
-        """Exactly re-score the cheapest candidates for convex loads.
+        """Addition family for convex loads: exact where a caller argmins.
 
         For non-invariant loads the true access cost is latency + load with
-        load depending on the split. We add a *lower bound* of the load
-        (perfect balancing across all servers, by convexity the cheapest
-        possible split) to every entry, score a latency-best shortlist
-        exactly, then lazily keep scoring whichever entry is currently the
-        argmin until the argmin itself is exact. The argmin of the returned
-        array is therefore the true best candidate; non-argmin entries may
+        load depending on the split. Every entry gets a *lower bound* of the
+        load (perfect balancing across all servers, by convexity the
+        cheapest possible split); :meth:`_lazy_exact_argmin` then walks the
+        unoccupied nodes and, separately, the ``cached`` nodes with the
+        other group masked, so the argmin within each group is exact.
+        Entries for ``active`` members are ``exact_access_cost(active)``,
+        computed once.
+        """
+        bound = latency + self._balanced_load_bound(active.size + 1)
+        empty = bound.copy()
+        empty[active] = np.inf
+        empty[cached] = np.inf
+        result = self._lazy_exact_argmin(empty, active)
+        if cached.size:
+            only_cached = np.full(bound.size, np.inf)
+            only_cached[cached] = bound[cached]
+            result[cached] = self._lazy_exact_argmin(only_cached, active)[cached]
+        if active.size:
+            result[active] = self.exact_access_cost(active)
+        return result
+
+    def _lazy_exact_argmin(self, bound: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Score ``base ∪ {u}`` exactly, in blocks, until the argmin is exact.
+
+        Sound whenever ``bound[u]`` is at most the exact cost of
+        ``base ∪ {u}`` (true for the convex built-in load models).
+        ``+inf`` entries are masked: never scored, left ``+inf``. The
+        finite entries are walked in stable bound order in blocks of
+        ``_SHORTLIST_SIZE``, 2×, 4×, … candidates, each scored by one
+        :meth:`_score_block` pass; the walk stops after the first block
+        that leaves the result's argmin exactly scored. From then on no
+        further score can move it (an exact value is at least its bound),
+        so the argmin — the lowest index holding the least exact value —
+        is the one a one-at-a-time walk would stop at. Entries not scored
         remain lower bounds.
         """
-        active_set = set(active.tolist())
-
-        def exact(u: int) -> float:
-            candidate = active if u in active_set else np.append(active, u)
-            return self.exact_access_cost(candidate)
-
-        bound = latency + self._balanced_load_bound(active.size + 1)
-        return self._lazy_exact_argmin(bound, exact)
-
-    def _lazy_exact_argmin(self, bound: np.ndarray, exact) -> np.ndarray:
-        """Refine ``bound`` entries with ``exact`` until the argmin is exact.
-
-        Sound whenever ``bound[u] <= exact(u)`` for all u (true for the
-        convex built-in load models); terminates because each iteration
-        fixes one more entry.
-        """
         result = bound.copy()
-        order = np.argsort(result, kind="stable")
+        order = np.argsort(bound, kind="stable")[: np.count_nonzero(np.isfinite(bound))]
         scored = np.zeros(result.size, dtype=bool)
-        for u in order[: min(_SHORTLIST_SIZE, order.size)].tolist():
-            if np.isfinite(result[u]):
-                result[u] = exact(u)
-                scored[u] = True
-        while True:
-            best = int(np.argmin(result))
-            if scored[best] or not np.isfinite(result[best]):
-                return result
-            result[best] = exact(best)
-            scored[best] = True
+        start, size = 0, _SHORTLIST_SIZE
+        while start < order.size:
+            block = order[start : start + size]
+            result[block] = self._score_block(base, block)
+            scored[block] = True
+            if scored[np.argmin(result)]:
+                break
+            start += size
+            size *= 2
+        return result
+
+    def _score_block(self, base: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """``exact_access_cost(np.append(base, u))`` for each ``u`` in ``us``.
+
+        Bit-identical to the oracle, in one numpy pass per block. ``base``'s
+        per-request argmin and minimum are taken once; a request moves to
+        ``u`` only where ``D[u] < base_min`` — strict, as argmin over
+        ``[base..., u]`` keeps the first minimum. Latencies are row sums of
+        a C-contiguous ``(candidates, R)`` array (the same pairwise order as
+        the oracle's 1-D sum); one ``bincount`` over (candidate, round,
+        server) keys gives the counts, and each candidate's loads are
+        summed as one contiguous row, as the oracle sums its ``(R, k+1)``.
+        """
+        base = np.asarray(base, dtype=np.int64)
+        us = np.asarray(us, dtype=np.int64)
+        m = self.flat.size
+        scores = np.zeros(us.size, dtype=np.float64)
+        if m == 0:
+            return scores
+        k = base.size
+        if k:
+            block = self._distance_block(base)
+            owner = np.argmin(block, axis=0)
+            nearest = block[owner, np.arange(m)]
+        else:
+            owner = np.zeros(m, dtype=np.int64)
+            nearest = np.full(m, np.inf)
+
+        n_rounds = self.n_rounds
+        width = n_rounds * (k + 1)
+        round_keys = self.round_ids * (k + 1)
+        strengths = self._substrate.strengths
+        hop = self._costs.wireless_hop * m
+        rows = max(1, _BLOCK_ELEMS_MAX // max(m, width))
+        for lo in range(0, us.size, rows):
+            chunk = us[lo : lo + rows]
+            c = chunk.size
+            dist = self._distance_block(chunk)
+            latency = np.minimum(dist, nearest, out=np.empty((c, m)))
+            assignment = np.where(dist < nearest, k, owner)
+            keys = assignment + round_keys
+            keys += np.arange(0, c * width, width, dtype=np.int64)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=c * width).reshape(
+                c, n_rounds, k + 1
+            )
+            servers = np.empty((c, k + 1), dtype=strengths.dtype)
+            servers[:, :k] = strengths[base]
+            servers[:, k] = strengths[chunk]
+            loads = self._costs.load(servers[:, None, :], counts)
+            scores[lo : lo + c] = (
+                latency.sum(axis=1) + hop + loads.reshape(c, -1).sum(axis=1)
+            )
+        return scores
 
     def _balanced_load_bound(self, k: int) -> float:
         """Lower bound on window load: every round split evenly over k servers.
@@ -348,51 +431,54 @@ class RequestBatch:
         return latency + loads.reshape(k, -1).sum(axis=1)
 
     def migration_costs(
-        self, active: "np.ndarray | tuple[int, ...]", server_index: int
+        self,
+        active: "np.ndarray | tuple[int, ...]",
+        server_index: int,
+        cached: "np.ndarray | tuple[int, ...]" = (),
     ) -> np.ndarray:
         """Window access cost of moving server ``active[server_index]`` to each node.
 
         Entry ``u`` is the window access cost of
         ``active − {active[server_index]} + {u}``; entries for nodes already
-        in ``active`` are ``+inf`` (no co-location). Uses the same
-        broadcast-plus-shortlist scheme as :meth:`addition_costs`.
+        hosting a server (``active`` and ``cached``) are ``+inf`` (no
+        co-location). Uses the same broadcast-plus-walk scheme as
+        :meth:`addition_costs`, with the occupied nodes masked before the
+        walk, so the argmin over the remaining targets is exact.
         """
         active = np.asarray(active, dtype=np.int64)
         if not 0 <= server_index < active.size:
             raise IndexError(f"server index {server_index} out of range")
         flat = self.flat
-        if flat.size == 0:
-            return np.zeros(self._substrate.n, dtype=np.float64)
-
-        if self._load_is_invariant():
-            result = self._migration_latencies(active)[server_index] + self._invariant_load()
-        else:
-            rest = np.delete(active, server_index)
-            latency = np.minimum(
-                self._candidate_matrix(), self.base_latency(rest)
-            ).sum(axis=1)
-            latency += self._costs.wireless_hop * flat.size
-            bound = latency + self._balanced_load_bound(rest.size + 1)
-            result = self._lazy_exact_argmin(
-                bound, lambda u: self.exact_access_cost(np.append(rest, u))
-            )
-        result[active] = np.inf
-        return result
+        if flat.size == 0 or self._load_is_invariant():
+            return self.migration_costs_all(active, cached)[server_index]
+        rest = np.delete(active, server_index)
+        latency = np.minimum(
+            self._candidate_matrix(), self.base_latency(rest)
+        ).sum(axis=1)
+        latency += self._costs.wireless_hop * flat.size
+        bound = latency + self._balanced_load_bound(rest.size + 1)
+        bound[active] = np.inf
+        bound[np.asarray(cached, dtype=np.int64)] = np.inf
+        return self._lazy_exact_argmin(bound, rest)
 
     def migration_costs_all(
-        self, active: "np.ndarray | tuple[int, ...]"
+        self,
+        active: "np.ndarray | tuple[int, ...]",
+        cached: "np.ndarray | tuple[int, ...]" = (),
     ) -> np.ndarray:
-        """All migration families at once: row ``i`` is ``migration_costs(active, i)``."""
+        """All migration families at once: row ``i`` is ``migration_costs(active, i, cached)``."""
         active = np.asarray(active, dtype=np.int64)
         if self.flat.size == 0:
-            return np.zeros((active.size, self._substrate.n), dtype=np.float64)
-        if not self._load_is_invariant():
+            result = np.zeros((active.size, self._substrate.n), dtype=np.float64)
+        elif self._load_is_invariant():
+            result = self._migration_latencies(active) + self._invariant_load()
+        else:
             result = np.empty((active.size, self._substrate.n), dtype=np.float64)
             for i in range(active.size):
-                result[i] = self.migration_costs(active, i)
+                result[i] = self.migration_costs(active, i, cached)
             return result
-        result = self._migration_latencies(active) + self._invariant_load()
         result[:, active] = np.inf
+        result[:, np.asarray(cached, dtype=np.int64)] = np.inf
         return result
 
     def _migration_latencies(self, active: np.ndarray) -> np.ndarray:

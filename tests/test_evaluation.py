@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import evaluation
 from repro.core.costs import CostModel
-from repro.core.evaluation import RequestBatch
-from repro.core.load import QuadraticLoad
+from repro.core.evaluation import DistanceGather, RequestBatch
+from repro.core.load import LinearLoad, QuadraticLoad
 from repro.core.routing import route_requests
 from repro.topology.generators import erdos_renyi, line
+from repro.topology.substrate import Substrate
 
 
 def brute_force_access(substrate, costs, rounds, active):
@@ -159,6 +161,20 @@ class TestMigrationCosts:
         with pytest.raises(IndexError):
             batch.migration_costs(np.asarray([1]), 3)
 
+    def test_occupied_targets_masked_on_every_path(self, sub, costs, rounds):
+        quadratic = CostModel.paper_default(load=QuadraticLoad())
+        active, cached = np.asarray([2, 9]), np.asarray([4])
+        for cost_model, window in (
+            (costs, rounds), (quadratic, rounds), (costs, []), (quadratic, []),
+        ):
+            batch = RequestBatch(sub, cost_model, window)
+            families = batch.migration_costs_all(active, cached)
+            assert np.isinf(families[:, [2, 9, 4]]).all()
+            assert np.isfinite(np.delete(families, [2, 4, 9], axis=1)).all()
+            for i in range(2):
+                row = batch.migration_costs(active, i, cached)
+                assert np.array_equal(row, families[i])
+
     def test_single_server_migration(self, sub, costs, rounds):
         batch = RequestBatch(sub, costs, rounds)
         vector = batch.migration_costs(np.asarray([5]), 0)
@@ -185,6 +201,46 @@ def test_addition_never_increases_access(active, seed, n_rounds):
     assert (vector <= base + 1e-9).all()
 
 
+class ScriptedScores(RequestBatch):
+    """A RequestBatch whose block scorer returns fixed exact values."""
+
+    def __init__(self, exact_values):
+        super().__init__(line(3, seed=0), CostModel.paper_default(), [])
+        self.exact_values = exact_values
+        self.scored = []
+
+    def _score_block(self, base, us):
+        self.scored.extend(us.tolist())
+        return self.exact_values[us]
+
+
+def one_at_a_time_walk(bound, exact_values, shortlist=8):
+    """Reference walk: score the shortlist, then the argmin until it is exact."""
+    result = bound.copy()
+    scored = np.zeros(result.size, dtype=bool)
+    for u in np.argsort(result, kind="stable")[:shortlist]:
+        if np.isfinite(result[u]):
+            result[u] = exact_values[u]
+            scored[u] = True
+    while True:
+        best = int(np.argmin(result))
+        if scored[best] or not np.isfinite(result[best]):
+            return result
+        result[best] = exact_values[best]
+        scored[best] = True
+
+
+def masked_bounds(bounds, gaps, masked):
+    size = min(len(bounds), len(gaps))
+    bound = np.asarray(bounds[:size], dtype=np.float64)
+    exact_values = bound + np.asarray(gaps[:size], dtype=np.float64)
+    mask = np.asarray([i in masked for i in range(size)])
+    if mask.all():
+        mask[0] = False
+    bound[mask] = np.inf
+    return bound, exact_values, mask
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     bounds=st.lists(
@@ -203,28 +259,123 @@ def test_lazy_exact_argmin_bound_soundness(bounds, gaps, masked):
     the bounds order candidates very differently from their exact values.
     Infinite entries (masked candidates) must never be scored.
     """
-    size = min(len(bounds), len(gaps))
-    bound = np.asarray(bounds[:size], dtype=np.float64)
-    exact_values = bound + np.asarray(gaps[:size], dtype=np.float64)
-    mask = np.asarray([i in masked for i in range(size)])
-    if mask.all():
-        mask[0] = False
-    bound[mask] = np.inf
-    calls = []
-
-    def exact(u):
-        calls.append(u)
-        assert not mask[u], "scored a masked (infinite-bound) candidate"
-        return float(exact_values[u])
-
-    batch = RequestBatch(line(3, seed=0), CostModel.paper_default(), [])
-    result = batch._lazy_exact_argmin(bound.copy(), exact)
+    bound, exact_values, mask = masked_bounds(bounds, gaps, masked)
+    batch = ScriptedScores(exact_values)
+    result = batch._lazy_exact_argmin(bound.copy(), np.zeros(0, dtype=np.int64))
 
     best = int(np.argmin(result))
-    assert best in calls  # the winner was exactly scored
+    assert best in batch.scored  # the winner was exactly scored
     assert result[best] == exact_values[best]
     finite = ~mask
     assert result[best] <= exact_values[finite].min() + 1e-12
+    assert not mask[batch.scored].any(), "scored a masked (infinite-bound) candidate"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bounds=st.lists(st.integers(0, 12), min_size=1, max_size=120),
+    gaps=st.lists(st.integers(0, 6), min_size=1, max_size=120),
+    masked=st.sets(st.integers(0, 119)),
+)
+def test_block_walk_matches_one_at_a_time_walk(bounds, gaps, masked):
+    """Blocks of 8, 16, 32, ... stop where the one-at-a-time walk stops.
+
+    Small integer bounds and gaps make ties common, where argmin's
+    first-index rule decides the winner.
+    """
+    bound, exact_values, _ = masked_bounds(bounds, gaps, masked)
+    reference = one_at_a_time_walk(bound, exact_values)
+    result = ScriptedScores(exact_values)._lazy_exact_argmin(
+        bound.copy(), np.zeros(0, dtype=np.int64)
+    )
+    assert int(np.argmin(result)) == int(np.argmin(reference))
+    assert result.min() == reference.min()
+
+
+def _score_sources(substrate, costs, rounds, t0):
+    """A standalone RequestBatch and a GatherWindow over ``rounds[t0:]``."""
+    batch = RequestBatch(substrate, costs, rounds[t0:])
+    window = DistanceGather(substrate, costs, rounds).new_window()
+    for t, requests in enumerate(rounds):
+        if t == t0:
+            window.clear()
+        window.add_round(requests)
+    return batch, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=st.sampled_from(["line", "erdos_renyi"]),
+    load=st.sampled_from(["linear-nonuniform", "quadratic", "quadratic-nonuniform"]),
+    seed=st.integers(0, 2**16),
+    n_rounds=st.integers(1, 6),
+    max_requests=st.integers(0, 12),
+    k=st.integers(0, 4),
+    t0=st.integers(0, 2),
+)
+def test_score_block_bit_identical_to_oracle(
+    graph, load, seed, n_rounds, max_requests, k, t0
+):
+    """_score_block equals exact_access_cost(base ∪ {u}) with ==, not approx.
+
+    Integer-weight line graphs make distances tie; rounds may be empty and
+    ``base`` may be empty (a single-server migration).
+    """
+    rng = np.random.default_rng(seed)
+    n = 12
+    if graph == "line":
+        topo = line(n, seed=rng)  # unit latencies: heavy ties
+    else:
+        topo = erdos_renyi(n, p=0.3, seed=rng)
+    strengths = (
+        rng.uniform(0.5, 2.0, n) if load.endswith("nonuniform") else np.ones(n)
+    )
+    sub = Substrate(n, topo.links, strengths=strengths)
+    costs = CostModel.paper_default(
+        load=LinearLoad() if load.startswith("linear") else QuadraticLoad()
+    )
+    rounds = [
+        rng.integers(0, n, size=rng.integers(0, max_requests + 1))
+        for _ in range(n_rounds + t0)
+    ]
+    base = rng.choice(n, size=k, replace=False).astype(np.int64)
+    us = rng.permutation(n).astype(np.int64)
+    for batch in _score_sources(sub, costs, rounds, t0):
+        scores = batch._score_block(base, us)
+        for j, u in enumerate(us):
+            assert scores[j] == batch.exact_access_cost(np.append(base, u)), (
+                type(batch).__name__, int(u)
+            )
+
+
+def test_score_block_bit_identical_on_a_wide_window():
+    """Past numpy's 8192-element buffer the row sums still match the oracle."""
+    rng = np.random.default_rng(3)
+    n = 20
+    er = erdos_renyi(n, p=0.3, seed=rng)
+    sub = Substrate(n, er.links, strengths=rng.uniform(0.5, 2.0, n))
+    costs = CostModel.paper_default(load=QuadraticLoad())
+    rounds = [rng.integers(0, n, size=3000) for _ in range(4)]
+    base = np.asarray([2, 11, 17], dtype=np.int64)
+    us = np.arange(n, dtype=np.int64)
+    for batch in _score_sources(sub, costs, rounds, 0):
+        scores = batch._score_block(base, us)
+        for j, u in enumerate(us):
+            assert scores[j] == batch.exact_access_cost(np.append(base, u))
+
+
+def test_score_block_chunked_pass_matches_oracle(monkeypatch):
+    """A block split into row chunks (the memory cap) scores the same."""
+    monkeypatch.setattr(evaluation, "_BLOCK_ELEMS_MAX", 64)
+    rng = np.random.default_rng(4)
+    sub = erdos_renyi(15, p=0.3, seed=11)
+    costs = CostModel.paper_default(load=QuadraticLoad())
+    batch = RequestBatch(sub, costs, [rng.integers(0, 15, size=20) for _ in range(3)])
+    base = np.asarray([1, 8], dtype=np.int64)
+    us = np.arange(15, dtype=np.int64)
+    scores = batch._score_block(base, us)
+    for j, u in enumerate(us):
+        assert scores[j] == batch.exact_access_cost(np.append(base, u))
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,9 +16,12 @@ from repro.algorithms._families import (
 from repro.core.config import Configuration
 from repro.core.costs import CostModel
 from repro.core.evaluation import RequestBatch
+from repro.core.load import LinearLoad, QuadraticLoad
 from repro.core.servercache import InactiveServerCache
 from repro.core.transitions import price_transition
-from repro.topology.generators import line
+from repro.topology.generators import erdos_renyi, line
+from repro.topology.substrate import Substrate
+from repro.workload.commuter import CommuterScenario, default_period_for
 
 
 @pytest.fixture
@@ -126,6 +129,68 @@ class TestPredictionMatchesPricer:
             if c.kind == "create"
         )
         assert create.transition_cost == costs.creation
+
+
+def described_placement(choice, active):
+    """The active placement a choice prices, in the evaluator's order."""
+    if choice.kind == "stay":
+        return active
+    if choice.kind == "deactivate":
+        return np.delete(active, choice.server)
+    if choice.kind == "migrate":
+        return np.append(np.delete(active, choice.server), choice.target)
+    return np.append(active, choice.target)  # activate / create
+
+
+class TestExactChoicePrices:
+    """Under non-invariant loads every choice carries its exact access cost.
+
+    The evaluator ranks candidates by a balanced-load lower bound and scores
+    only enough of them exactly to fix each family's argmin; a family whose
+    occupied targets were masked *after* that walk could be priced at an
+    unscored bound instead.
+    """
+
+    @pytest.mark.parametrize("trial", range(3))
+    @pytest.mark.parametrize("load", ["quadratic", "nonuniform-strengths"])
+    def test_every_choice_priced_exactly(self, load, trial):
+        rng = np.random.default_rng([61, trial])
+        n = 60
+        er = erdos_renyi(n, p=0.1, seed=rng)
+        if load == "quadratic":
+            sub, cost_load = er, QuadraticLoad()
+        else:
+            strengths = rng.uniform(0.5, 2.0, n)
+            sub, cost_load = Substrate(n, er.links, strengths=strengths), LinearLoad()
+        costs = CostModel.paper_default(load=cost_load)
+        trace = CommuterScenario(sub, period=default_period_for(n)).generate(10, rng)
+        batch = RequestBatch(sub, costs, trace.rounds)
+        # Servers on the busiest nodes, as after a few best responses: then
+        # a migration's origin is often its cheapest candidate, which is
+        # where a walk that masks occupied nodes too late stops.
+        busiest = np.argsort(-np.bincount(batch.flat, minlength=n), kind="stable")
+        idle = rng.choice(busiest[4:], size=2, replace=False)
+        config = Configuration(tuple(busiest[:4].tolist()), tuple(idle.tolist()))
+        active = np.asarray(config.active, dtype=np.int64)
+        exact = batch.exact_access_cost
+
+        small_epoch = dict(allow_add=False)
+        large_epoch = dict(allow_migrate=False, allow_deactivate=False)
+        for flags in (small_epoch, large_epoch):
+            cache = make_cache(*config.inactive)
+            for choice in enumerate_choices(batch, config, cache, costs, **flags):
+                placement = described_placement(choice, active)
+                assert choice.access == pytest.approx(exact(placement), rel=1e-12), (
+                    choice
+                )
+                if choice.kind == "migrate":
+                    rest = np.delete(active, choice.server)
+                    best = min(
+                        exact(np.append(rest, u))
+                        for u in range(n)
+                        if u not in config.occupied
+                    )
+                    assert choice.access == pytest.approx(best, rel=1e-12), choice
 
 
 class TestApply:
