@@ -31,9 +31,10 @@ it runs. This example
    same ordering with a fraction of the replicates, and
 10. runs the same sweep through a :class:`QueueBackend` — a single-file
     SQLite work queue that any number of worker processes may drain
-    (``python -m repro.experiments worker``); with zero external workers
-    the backend drains its own queue, and either way the result is
-    bit-identical to serial, and
+    (``python -m repro.experiments worker``), with the samples travelling
+    through a shared result cache; with zero external workers the backend
+    drains its own queue, and either way the result is bit-identical to
+    serial, and
 11. swaps production workloads into the same specs: a ``replay`` scenario
     scores the policies on an external request log (any CSV/JSONL with a
     node column, deterministically mapped onto the substrate, cache keys
@@ -273,17 +274,20 @@ def main() -> None:
     )
 
     # 10. The same sweep through a shared work queue. The backend publishes
-    #     each replicate as a task on a single SQLite file; any number of
+    #     each sweep point as a task on a single SQLite file; any number of
     #     `python -m repro.experiments worker --queue ... --cache-dir ...`
     #     processes (on any machine sharing the filesystem) may pick them
     #     up, and killed workers' leases expire and re-serve. With no
     #     external workers — as here — the backend drains its own queue,
     #     so the queue admits helpers without requiring them. Tasks carry
-    #     their pre-spawned seeds, so the answer is bit-identical to
-    #     serial no matter who executes what.
+    #     only sweep positions and samples land in the shared cache, so
+    #     the answer is bit-identical to serial no matter who executes
+    #     what.
     with tempfile.TemporaryDirectory() as root:
         queued = run_sweep(
-            sweep, backend=QueueBackend(f"{root}/queue.db", chunk=2)
+            sweep,
+            backend=QueueBackend(f"{root}/queue.db"),
+            cache=ResultCache(f"{root}/cache"),
         )
         assert queued == serial
         print(

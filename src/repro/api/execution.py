@@ -1,39 +1,31 @@
 """Execution backends: where a sweep's replicates actually run.
 
-The sweep engine (:func:`~repro.api.experiment.run_sweep`, and
-:func:`~repro.experiments.runner.sweep_experiment` for closure replicates)
-turns each round of replicate blocks into a flat list of
-:class:`ReplicateTask`\\ s — one per replicate, each carrying the exact
-``numpy.random.SeedSequence`` child that the serial loop would have used.
-A backend only chooses *where* those tasks execute:
+The sweep engine (:func:`~repro.api.experiment.run_sweep`) turns each
+round of replicate blocks into a flat list of :class:`ReplicateTask`\\ s —
+one per replicate, each carrying the exact ``numpy.random.SeedSequence``
+child that the serial loop would have used. A backend only chooses *where*
+those tasks execute:
 
 * :class:`SerialBackend` — in-process loop, the default;
-* :class:`ProcessPoolBackend` — fan-out over worker processes.
+* :class:`ProcessPoolBackend` — fan-out over worker processes, which
+  receive the pickled replicate callable (the spec-driven
+  :class:`~repro.api.experiment.SpecReplicate`, plain data).
 
 Because the child seeds are spawned up front in the parent and travel with
 the tasks, a replicate sees bit-identical randomness no matter which backend
 runs it: serial and parallel sweeps produce identical
 :class:`~repro.experiments.runner.FigureResult`\\ s.
 
-Replicate callables defined at module level (e.g. the spec-driven
-:class:`~repro.api.experiment.SpecReplicate`) are pickled to the workers
-directly. Closure replicates — the style the figure modules use — cannot be
-pickled; for those the pool falls back to ``fork``-started workers that
-inherit the replicate through process memory (available on POSIX). If
-neither route works the backend degrades to serial execution with a warning
-rather than failing the sweep.
+:class:`QueueBackend` is the sweep-level executor: it fills the sweep's
+per-point cache entries through a work queue, and the engine then reads
+the warm cache like every other executor.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import multiprocessing
 import os
-import pickle
-import threading
-import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -120,27 +112,6 @@ class SerialBackend(ExecutionBackend):
         return "SerialBackend()"
 
 
-#: Work shipped to fork-started workers through inherited memory; set only
-#: for the duration of one ``run_replicates`` call. The lock serialises
-#: concurrent fork-path calls (e.g. from threads), which would otherwise
-#: overwrite each other's state before the workers fork.
-_FORK_STATE: "tuple[Replicate, list[ReplicateTask]] | None" = None
-_FORK_LOCK = threading.Lock()
-
-
-def _execute_forked(index: int) -> Mapping[str, float]:
-    replicate, tasks = _FORK_STATE
-    return _execute(replicate, tasks[index])
-
-
-def _is_picklable(obj: Any) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
 class ProcessPoolBackend(ExecutionBackend):
     """Fan replicates out across worker processes.
 
@@ -169,204 +140,55 @@ class ProcessPoolBackend(ExecutionBackend):
         workers = min(self.workers, len(tasks))
         chunksize = max(1, len(tasks) // (workers * 4))
 
-        if _is_picklable(replicate):
-            execute = functools.partial(_execute, replicate)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return _collect(
-                    tasks, pool.map(execute, tasks, chunksize=chunksize),
-                    on_result,
-                )
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            global _FORK_STATE
-            with _FORK_LOCK:
-                _FORK_STATE = (replicate, tasks)
-                try:
-                    context = multiprocessing.get_context("fork")
-                    with ProcessPoolExecutor(
-                        max_workers=workers, mp_context=context
-                    ) as pool:
-                        return _collect(
-                            tasks,
-                            pool.map(
-                                _execute_forked,
-                                range(len(tasks)),
-                                chunksize=chunksize,
-                            ),
-                            on_result,
-                        )
-                finally:
-                    _FORK_STATE = None
-
-        warnings.warn(
-            "replicate is not picklable and fork start method is unavailable; "
-            "running the sweep serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return SerialBackend().run_replicates(replicate, tasks, on_result)
+        execute = functools.partial(_execute, replicate)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _collect(
+                tasks, pool.map(execute, tasks, chunksize=chunksize), on_result
+            )
 
     def __repr__(self) -> str:
         return f"ProcessPoolBackend(workers={self.workers})"
 
 
-class QueueBackend(ExecutionBackend):
-    """Fan replicates out through a :class:`repro.queue.broker.Broker`.
+class QueueBackend:
+    """Run whole sweeps through a :class:`repro.queue.broker.Broker` queue.
 
-    Where :class:`ProcessPoolBackend` owns its workers,
-    :class:`QueueBackend` publishes the batch as *block* tasks on a shared
-    queue file and lets whoever is draining that queue — external
-    ``repro-experiments worker`` processes, possibly on other machines
-    sharing the filesystem — execute them. Each block task carries the
-    pickled ``(replicate, tasks)`` chunk and returns its pickled samples
-    on the task row, so the batch needs no cache and works for arbitrary
-    replicates (same pickling contract as the pool; unpicklable work
-    degrades to serial with the same warning).
-
-    With ``local=True`` (the default) the backend also work-steals its own
-    block tasks between polls, so a sweep makes progress even with zero
-    external workers — the queue then merely *admits* helpers instead of
-    requiring them.
-
-    Results are bit-identical to serial execution: tasks carry their
-    pre-spawned seeds, and chunk results are reassembled in task order.
+    Where :class:`ProcessPoolBackend` runs replicate batches, a queue
+    backend runs a sweep: :func:`~repro.api.experiment.run_sweep` enqueues
+    it as per-point tasks (:func:`~repro.queue.worker.enqueue_sweep`) and
+    drains them in process with :func:`~repro.queue.worker.worker_loop`
+    until the job is done, so the sweep completes with zero external
+    workers; every ``repro-experiments worker`` on the same queue file and
+    cache directory helps. Samples travel through the shared
+    :class:`~repro.api.cache.ResultCache` the sweep must be given, never
+    through the queue, and the figure is read back from that warm cache —
+    bit-identical to serial execution.
 
     Args:
         queue: the queue database path, or an existing ``Broker``.
-        chunk: replicate tasks per block task (larger = fewer, longer
-            leases).
-        poll: seconds between progress polls while waiting on external
-            workers.
-        ttl: lease lifetime granted to whichever worker takes a block.
-        local: execute unleased blocks in-process while waiting.
-        timeout: seconds before giving up on a stuck queue (``None`` =
-            wait forever; abandoned leases re-serve on their own).
     """
 
-    def __init__(
-        self,
-        queue,
-        chunk: int = 1,
-        poll: float = 0.05,
-        ttl: "float | None" = None,
-        local: bool = True,
-        timeout: "float | None" = None,
-    ) -> None:
+    def __init__(self, queue) -> None:
         from repro.queue.broker import Broker
 
         self.broker = queue if isinstance(queue, Broker) else Broker(queue)
-        chunk = int(chunk)
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        self.chunk = chunk
-        self.poll = float(poll)
-        self.ttl = ttl
-        self.local = bool(local)
-        self.timeout = timeout
 
-    def run_replicates(
-        self,
-        replicate: Replicate,
-        tasks: Sequence[ReplicateTask],
-        on_result: "ResultHook | None" = None,
-    ) -> list:
-        import uuid
+    def drain(self, spec, cache) -> None:
+        """Enqueue ``spec`` and work its job until it is done or failed."""
+        from repro.queue.worker import enqueue_sweep, worker_loop
 
-        from repro.queue.broker import default_worker_id
+        state = enqueue_sweep(self.broker, cache, spec, requeue=True)
+        job = state["job"]
 
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if not _is_picklable(replicate) or not _is_picklable(tasks):
-            warnings.warn(
-                "replicate (or its tasks) is not picklable and cannot "
-                "travel through the queue; running the batch serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialBackend().run_replicates(replicate, tasks, on_result)
+        def settled() -> bool:
+            current = self.broker.job_state(job)
+            return current is None or current["status"] in ("done", "failed")
 
-        chunks = [
-            tasks[start : start + self.chunk]
-            for start in range(0, len(tasks), self.chunk)
-        ]
-        job_id = f"block:{uuid.uuid4().hex}"
-        self.broker.enqueue_job(
-            job_id,
-            "block",
-            tasks=[
-                (
-                    "block",
-                    {"chunk": k},
-                    pickle.dumps(
-                        (replicate, chunk), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-                for k, chunk in enumerate(chunks)
-            ],
-        )
-        worker = f"{default_worker_id()}:backend"
-        deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
-        )
-        blocks: "list[list | None]" = [None] * len(chunks)
-        delivered = 0  # chunks whose samples went through on_result
-        try:
-            while True:
-                for row in self.broker.tasks_for(job_id):
-                    if row["status"] == "failed":
-                        raise RuntimeError(
-                            f"queue task for chunk "
-                            f"{row['payload'].get('chunk')} failed: "
-                            f"{row['error']}"
-                        )
-                    if row["status"] == "done" and row["result"] is not None:
-                        k = int(row["payload"]["chunk"])
-                        if blocks[k] is None:
-                            blocks[k] = pickle.loads(row["result"])
-                while delivered < len(chunks) and blocks[delivered] is not None:
-                    if on_result is not None:
-                        base = delivered * self.chunk
-                        for offset, sample in enumerate(blocks[delivered]):
-                            on_result(
-                                base + offset, tasks[base + offset], sample
-                            )
-                    delivered += 1
-                if delivered == len(chunks):
-                    break
-                progressed = False
-                if self.local:
-                    lease = self.broker.lease_task(
-                        worker, ttl=self.ttl, job=job_id, kinds=("block",)
-                    )
-                    if lease is not None:
-                        chunk_replicate, chunk_tasks = pickle.loads(lease.blob)
-                        samples = SerialBackend().run_replicates(
-                            chunk_replicate, chunk_tasks
-                        )
-                        self.broker.complete(
-                            lease,
-                            pickle.dumps(
-                                samples, protocol=pickle.HIGHEST_PROTOCOL
-                            ),
-                        )
-                        progressed = True
-                if not progressed:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"queue batch {job_id} incomplete after "
-                            f"{self.timeout}s ({delivered}/{len(chunks)} "
-                            "chunks done)"
-                        )
-                    time.sleep(self.poll)
-        finally:
-            # block jobs are transient transport, not cache: drop the rows
-            # (and their pickled payloads) whatever happened
-            self.broker.delete_job(job_id)
-        return [sample for block in blocks for sample in block]
+        if not state["cached"]:
+            worker_loop(self.broker, cache, poll=0.05, stop=settled)
+        final = self.broker.job_state(job)
+        if final is not None and final["status"] == "failed":
+            raise RuntimeError(f"queue job {job[:12]} failed: {final['error']}")
 
     def __repr__(self) -> str:
-        return (
-            f"QueueBackend({str(self.broker.path)!r}, chunk={self.chunk}, "
-            f"local={self.local})"
-        )
+        return f"QueueBackend({str(self.broker.path)!r})"

@@ -24,7 +24,8 @@ when present and simulating a round's missing blocks as one backend batch
 adaptive, cached and uncached, sharded and whole sweeps differ only in
 their schedule and in which blocks the cache already holds; the queue
 workers (:mod:`repro.queue.worker`) replay the same schedule block by
-block.
+block, and a :class:`~repro.api.execution.QueueBackend` sweep is one such
+queue drain followed by the same walk over the warm cache.
 
 Randomness follows the figure-module convention: one generator drives
 topology construction, trace generation and every policy's simulation in
@@ -44,7 +45,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.analysis.stats import t_critical
-from repro.api.execution import ExecutionBackend, ReplicateTask, SerialBackend
+from repro.api.execution import (
+    ExecutionBackend,
+    QueueBackend,
+    ReplicateTask,
+    SerialBackend,
+)
 from repro.api.metrics import MetricContext, PolicyRun, evaluate_metrics
 from repro.api.specs import (
     ComparisonSpec,
@@ -54,6 +60,7 @@ from repro.api.specs import (
 )
 from repro.core.evaluation import DistanceGather
 from repro.core.results import RunResult
+from repro.core.routing import RoutingStrategy
 from repro.core.simulator import simulate
 from repro.workload.base import Trace, generate_trace
 
@@ -155,7 +162,7 @@ def _simulate_spec(
                 costs = model
                 break
         else:
-            costs = cost_spec.to_cost_model()
+            costs = cost_spec.to_cost_model(substrate)
             cost_models.append((cost_spec, costs))
         trace = traces[trace_index]
         gather = gathers.get((trace_index, id(costs)))
@@ -167,7 +174,11 @@ def _simulate_spec(
             policy,
             trace,
             costs,
-            routing=spec.routing_strategy,
+            routing=(
+                RoutingStrategy(policy_spec.routing)
+                if policy_spec.routing is not None
+                else spec.routing_strategy
+            ),
             seed=rng,
             gather=gather,
         )
@@ -328,7 +339,7 @@ def _record_sweep(spec: SweepSpec, result: "FigureResult") -> None:
 
 def run_sweep(
     spec: SweepSpec,
-    backend: "ExecutionBackend | None" = None,
+    backend: "ExecutionBackend | QueueBackend | None" = None,
     cache: "ResultCache | None" = None,
     shard: "tuple[int, int] | None" = None,
     resume: bool = True,
@@ -341,6 +352,9 @@ def run_sweep(
         spec: the declarative sweep.
         backend: where replicates execute; ``None`` = serial. Serial and
             parallel backends return identical results for the same spec.
+            A :class:`~repro.api.execution.QueueBackend` runs the sweep
+            through its work queue instead and needs ``cache`` (the
+            samples travel through its per-point entries).
         cache: optional :class:`~repro.api.cache.ResultCache`; a hit returns
             the stored result without simulating anything, a miss stores
             the freshly computed one. Safe because the spec is the complete
@@ -413,7 +427,7 @@ def run_sweep(
 
 def _execute_sweep(
     spec: SweepSpec,
-    backend: "ExecutionBackend | None",
+    backend: "ExecutionBackend | QueueBackend | None",
     cache: "ResultCache | None",
     shard: "tuple[int, int] | None",
     resume: bool,
@@ -430,6 +444,10 @@ def _execute_sweep(
         raise ValueError(
             "sharded execution requires resume=True: shards coordinate "
             "exclusively through per-point cache entries"
+        )
+    if shard is not None and isinstance(backend, QueueBackend):
+        raise ValueError(
+            "queue execution drains the whole sweep; it cannot run a shard"
         )
 
     if cache is not None:
@@ -468,7 +486,7 @@ def _execute_sweep(
 
 def collect_point_samples(
     spec: SweepSpec,
-    backend: "ExecutionBackend | None" = None,
+    backend: "ExecutionBackend | QueueBackend | None" = None,
     cache: "ResultCache | None" = None,
     resume: bool = True,
 ) -> "list[list[Mapping[str, float]]]":
@@ -568,7 +586,7 @@ class PointBlocks:
 def _fill_points(
     spec: SweepSpec,
     schedule: "PointSchedule",
-    backend: "ExecutionBackend | None",
+    backend: "ExecutionBackend | QueueBackend | None",
     cache: "ResultCache | None",
     mine=lambda i: True,
 ) -> "tuple[list[list[Mapping[str, float]]], set[int]]":
@@ -581,10 +599,22 @@ def _fill_points(
     loses at most the blocks still in flight. A block that is neither
     cached nor ours (another shard's) leaves its point *blocked*.
 
+    A :class:`~repro.api.execution.QueueBackend` first drains the whole
+    sweep into ``cache`` through its queue; the walk then loads every block.
+
     Returns ``(samples, blocked)``: every point's samples in replicate
     order, and the indices of the blocked points.
     """
     from repro.experiments.runner import SeriesValidator, _run_batched
+
+    if isinstance(backend, QueueBackend):
+        if cache is None:
+            raise ValueError(
+                "queue execution moves samples through per-point cache "
+                "entries: pass cache=ResultCache(...) and keep resume=True"
+            )
+        backend.drain(spec, cache)
+        backend = None
 
     blocks = PointBlocks(spec, cache)
     # One validator sees every cached and fresh sample: a cached block

@@ -16,7 +16,7 @@ The composition is::
       ├─ TopologySpec           e.g. ("erdos_renyi", {"n": 200})
       ├─ ScenarioSpec           e.g. ("commuter", {"sojourn": 10})
       ├─ PolicySpec ×k          e.g. ("onth", {}, label="ONTH")
-      │    └─ optional per-policy CostSpec / ScenarioSpec overrides
+      │    └─ optional per-policy CostSpec / ScenarioSpec / routing overrides
       ├─ CostSpec               β, c, Ra, Ri, load model
       └─ MetricSpec ×m          e.g. ("cost_ratio_vs", {"reference": "OPT"})
     SweepSpec                 parameter(s) swept over an ExperimentSpec
@@ -55,7 +55,7 @@ from repro.api.registry import (
     resolve_scenario,
     resolve_topology,
 )
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, bandwidth_migration_matrix
 from repro.core.load import LinearLoad, LoadFunction, PowerLoad, QuadraticLoad
 from repro.core.routing import RoutingStrategy
 
@@ -90,6 +90,20 @@ def canonical_key(data: Any) -> str:
 
 #: Load-model names accepted by :class:`CostSpec`.
 _LOAD_MODELS = ("linear", "quadratic", "power")
+
+#: Migration-cost models accepted by :class:`CostSpec`.
+_MIGRATION_MODELS = ("constant", "bandwidth")
+
+
+def _routing_name(value: Any) -> str:
+    """The canonical :class:`RoutingStrategy` value of ``value``, or raise."""
+    name = str(value).strip().lower().replace("-", "_")
+    valid = {strategy.value for strategy in RoutingStrategy}
+    if name not in valid:
+        raise ValueError(
+            f"unknown routing {value!r}; expected one of {sorted(valid)}"
+        )
+    return name
 
 
 def _jsonable(value: Any) -> Any:
@@ -210,8 +224,9 @@ class ScenarioSpec(_ComponentSpec):
 class PolicySpec(_ComponentSpec):
     """An allocation policy plus an optional display label for result series.
 
-    ``costs`` and ``scenario``, when set, override the experiment's cost
-    regime / demand scenario *for this policy only*. Policies sharing the
+    ``costs``, ``scenario`` and ``routing``, when set, override the
+    experiment's cost regime / demand scenario / request routing *for this
+    policy only*. Policies sharing the
     same effective scenario also share one generated trace per replicate, so
     ``PolicySpec("offstat", label="β<c")`` next to
     ``PolicySpec("offstat", label="β>c", costs=CostSpec.migration_expensive())``
@@ -222,6 +237,7 @@ class PolicySpec(_ComponentSpec):
     label: "str | None" = None
     costs: "CostSpec | None" = None
     scenario: "ScenarioSpec | None" = None
+    routing: "str | None" = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -240,6 +256,8 @@ class PolicySpec(_ComponentSpec):
             object.__setattr__(
                 self, "scenario", ScenarioSpec.from_dict(self.scenario)
             )
+        if self.routing is not None:
+            object.__setattr__(self, "routing", _routing_name(self.routing))
 
     def build(self):
         """Instantiate the policy."""
@@ -253,12 +271,17 @@ class PolicySpec(_ComponentSpec):
         data["scenario"] = (
             self.scenario.to_dict() if self.scenario is not None else None
         )
+        # emitted only when set, so specs without it keep their cache keys
+        if self.routing is not None:
+            data["routing"] = self.routing
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PolicySpec":
         _check_keys(
-            data, {"kind", "params", "label", "costs", "scenario"}, "PolicySpec"
+            data,
+            {"kind", "params", "label", "costs", "scenario", "routing"},
+            "PolicySpec",
         )
         costs = data.get("costs")
         scenario = data.get("scenario")
@@ -270,6 +293,7 @@ class PolicySpec(_ComponentSpec):
             scenario=(
                 ScenarioSpec.from_dict(scenario) if scenario is not None else None
             ),
+            routing=data.get("routing"),
         )
 
 
@@ -278,9 +302,12 @@ class CostSpec:
     """The cost constants of §II as data; builds a :class:`CostModel`.
 
     ``load`` selects the server-load model by name (``linear``, ``quadratic``
-    or ``power`` with ``load_exponent``). The distance-dependent
-    ``migration_matrix`` extension is substrate-shaped and therefore not
-    representable in a spec; construct a :class:`CostModel` directly for it.
+    or ``power`` with ``load_exponent``). ``migration_model`` selects the
+    migration cost: ``constant`` charges β for every move (the paper's
+    model); ``bandwidth`` charges the distance-dependent β(u, v) of
+    :func:`~repro.core.costs.bandwidth_migration_matrix`, scaled so its
+    off-diagonal mean equals ``migration``. That matrix is substrate-shaped,
+    so :meth:`to_cost_model` then needs the replicate's substrate.
     """
 
     migration: float = 40.0
@@ -290,13 +317,19 @@ class CostSpec:
     wireless_hop: float = 0.0
     load: str = "linear"
     load_exponent: float = 1.0
+    migration_model: str = "constant"
 
     def __post_init__(self) -> None:
         if self.load not in _LOAD_MODELS:
             raise ValueError(
                 f"unknown load model {self.load!r}; expected one of {_LOAD_MODELS}"
             )
-        self.to_cost_model()  # surface bad constants at spec-build time
+        if self.migration_model not in _MIGRATION_MODELS:
+            raise ValueError(
+                f"unknown migration model {self.migration_model!r}; expected "
+                f"one of {_MIGRATION_MODELS}"
+            )
+        self._cost_model()  # surface bad constants at spec-build time
 
     @classmethod
     def paper_default(cls, **overrides: Any) -> "CostSpec":
@@ -316,8 +349,26 @@ class CostSpec:
             return QuadraticLoad()
         return PowerLoad(self.load_exponent)
 
-    def to_cost_model(self) -> CostModel:
-        """The equivalent :class:`CostModel`."""
+    def to_cost_model(self, substrate=None) -> CostModel:
+        """The equivalent :class:`CostModel`.
+
+        The ``bandwidth`` migration model derives its β(u, v) matrix from
+        ``substrate`` and raises without one.
+        """
+        if self.migration_model == "constant":
+            return self._cost_model()
+        if substrate is None:
+            raise ValueError(
+                "the bandwidth migration model derives β(u,v) from the "
+                "substrate; pass it to to_cost_model"
+            )
+        matrix = bandwidth_migration_matrix(substrate)
+        off_diagonal = matrix[~np.eye(substrate.n, dtype=bool)]
+        return self._cost_model(
+            matrix * (self.migration / off_diagonal.mean())
+        )
+
+    def _cost_model(self, migration_matrix=None) -> CostModel:
         return CostModel(
             migration=self.migration,
             creation=self.creation,
@@ -325,11 +376,23 @@ class CostSpec:
             run_inactive=self.run_inactive,
             load=self.load_function(),
             wireless_hop=self.wireless_hop,
+            migration_matrix=migration_matrix,
         )
 
     def to_dict(self) -> dict:
-        """Plain JSON-safe dict form."""
-        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+        """Plain JSON-safe dict form.
+
+        ``migration_model`` is emitted only when it is not ``constant``, so
+        specs without it keep their cache keys.
+        """
+        data = {
+            f.name: _jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "migration_model"
+        }
+        if self.migration_model != "constant":
+            data["migration_model"] = self.migration_model
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CostSpec":
@@ -688,14 +751,7 @@ class ExperimentSpec:
             )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        object.__setattr__(
-            self, "routing", str(self.routing).strip().lower().replace("-", "_")
-        )
-        valid = {strategy.value for strategy in RoutingStrategy}
-        if self.routing not in valid:
-            raise ValueError(
-                f"unknown routing {self.routing!r}; expected one of {sorted(valid)}"
-            )
+        object.__setattr__(self, "routing", _routing_name(self.routing))
         # Only *explicit* labels can be checked statically; same-kind policies
         # with different parameters are legitimate (their built ``.name``s may
         # differ, e.g. onbr vs onbr:dynamic_threshold=true) and real runtime

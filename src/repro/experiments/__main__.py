@@ -155,14 +155,32 @@ def _backend_from_args(args):
 
 
 def _validate_backend_args(args) -> None:
-    """Reject ``--queue`` + ``--workers`` (one execution strategy at a time)."""
-    if getattr(args, "queue", None) is not None and getattr(
-        args, "workers", None
-    ) is not None:
+    """Reject ``--queue`` + ``--workers`` (one execution strategy at a time).
+
+    ``--queue`` also needs what the queue coordinates through: a result
+    cache with per-point entries, over the whole sweep.
+    """
+    if getattr(args, "queue", None) is None:
+        return
+    if getattr(args, "workers", None) is not None:
         raise ValueError(
             "--queue and --workers are mutually exclusive: the queue "
             "backend already fans out to every worker process on the "
             "queue file"
+        )
+    if _cache_for(args) is None:
+        raise ValueError(
+            "--queue moves samples through the result cache; add "
+            "--cache-dir DIR (without --no-cache)"
+        )
+    if getattr(args, "shard", None) is not None:
+        raise ValueError(
+            "--queue drains the whole sweep; it cannot run a --shard"
+        )
+    if not getattr(args, "resume", True):
+        raise ValueError(
+            "--queue coordinates through per-point cache entries; drop "
+            "--no-resume"
         )
 
 
@@ -525,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue", type=_parse_queue, default=None, metavar="PATH",
         help=(
-            "run sweep replicates through the work queue at PATH; any "
-            "'worker' processes on the same queue file share the load; "
-            "incompatible with --workers"
+            "run the sweep through the work queue at PATH (needs "
+            "--cache-dir); 'worker' processes on the same queue file and "
+            "cache dir share the load; incompatible with --workers"
         ),
     )
     parser.add_argument(
@@ -630,10 +648,10 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue", type=_parse_queue, default=None, metavar="PATH",
         help=(
-            "run replicates through the work queue at PATH (see the "
-            "'worker' subcommand): this process drains blocks itself and "
-            "any workers on the same queue file help; incompatible with "
-            "--workers"
+            "run the sweep through the work queue at PATH (see the "
+            "'worker' subcommand; needs --cache-dir): this process drains "
+            "the sweep's tasks itself and any workers on the same queue "
+            "file and cache dir help; incompatible with --workers"
         ),
     )
     parser.add_argument(
@@ -991,7 +1009,7 @@ def build_from_bundle_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help="run replicates through the work queue at PATH",
+        help="run the sweeps through the work queue at PATH (needs --cache-dir)",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -1186,7 +1204,7 @@ def build_report_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue", type=_parse_queue, default=None, metavar="PATH",
-        help="run sweep replicates through the work queue at PATH",
+        help="run the sweeps through the work queue at PATH (needs --cache-dir)",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",

@@ -1,8 +1,11 @@
 """Ablation experiments for the design choices DESIGN.md calls out.
 
 These go beyond the paper's figures: each ablation isolates one modelling or
-algorithmic knob and measures its effect, using the same sweep engine and
-reporting as the figure reproductions.
+algorithmic knob and measures its effect. Every ablation is a declarative
+:class:`~repro.api.specs.SweepSpec` run by
+:func:`~repro.api.experiment.run_sweep`, so it takes the same
+``backend``/``cache``/``shard``/``replication``/``comparison`` keywords as
+the figure reproductions and is bit-identical across executors.
 
 * routing strategy (nearest vs load-aware) under convex load,
 * the inactive-server cache size of ONBR/ONTH,
@@ -14,20 +17,22 @@ reporting as the figure reproductions.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.costs import CostModel, bandwidth_migration_matrix
-from repro.core.load import QuadraticLoad
-from repro.core.routing import RoutingStrategy
-from repro.core.simulator import simulate
-from repro.algorithms import OffStat, OnBR, OnTH
+from repro.api.experiment import run_sweep
 from repro.api.registry import register_figure
-from repro.experiments.figures import DEFAULT_SEED, _commuter_trace, _timezone_trace
-from repro.experiments.runner import FigureResult, sweep_experiment
-from repro.topology.generators import erdos_renyi
-from repro.topology.rocketfuel import att_like_topology
-from repro.workload.base import generate_trace
-from repro.workload.mobility import MobilityScenario
+from repro.api.specs import (
+    CostSpec,
+    ExperimentSpec,
+    MetricSpec,
+    PolicySpec,
+    ScenarioSpec,
+    SweepSpec,
+    TopologySpec,
+)
+from repro.experiments.figures import DEFAULT_SEED
+from repro.experiments.runner import FigureResult
+from repro.workload.commuter import default_period_for
 
 __all__ = [
     "ablation_routing",
@@ -39,6 +44,11 @@ __all__ = [
 ]
 
 
+def _commuter(sojourn: int, dynamic: bool) -> ScenarioSpec:
+    """The commuter scenario at the size-coupled day length ``T(n)``."""
+    return ScenarioSpec("commuter", {"sojourn": sojourn, "dynamic_load": dynamic})
+
+
 @register_figure("abl-routing", quick=dict(sizes=(50, 100), horizon=200, runs=3))
 def ablation_routing(
     sizes=(50, 100, 200),
@@ -47,34 +57,37 @@ def ablation_routing(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """Nearest vs load-aware request routing under quadratic load.
 
     With convex load, piling requests on the latency-closest server is
     super-linear; load-aware routing should never be worse.
     """
-    costs = CostModel.paper_default(load=QuadraticLoad())
-
-    def replicate(n, rng):
-        substrate = erdos_renyi(int(n), seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, False, rng)
-        return {
-            "nearest": simulate(
-                substrate, OnTH(), trace, costs,
-                routing=RoutingStrategy.NEAREST, seed=rng,
-            ).total_cost,
-            "load-aware": simulate(
-                substrate, OnTH(), trace, costs,
-                routing=RoutingStrategy.LOAD_AWARE, seed=rng,
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-routing", "routing strategy under quadratic load (ONTH)",
-        "network size", sizes, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi"),
+            scenario=_commuter(sojourn, False),
+            policies=(
+                PolicySpec("onth", label="nearest", routing="nearest"),
+                PolicySpec("onth", label="load-aware", routing="load_aware"),
+            ),
+            costs=CostSpec.paper_default(load="quadratic"),
+            horizon=horizon,
+        ),
+        parameter="topology.n",
+        values=tuple(int(n) for n in sizes),
+        runs=runs,
+        seed=seed,
+        figure="abl-routing",
+        title="routing strategy under quadratic load (ONTH)",
+        x_label="network size",
         notes="load-aware routing balances convex load at equal latency cost",
-        backend=backend,
     )
+    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
 
 
 @register_figure("abl-cache", quick=dict(cache_sizes=(1, 3, 8), n=100, horizon=300, runs=3))
@@ -86,28 +99,33 @@ def ablation_cache_size(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """Effect of the inactive-server FIFO cache size (paper fixes 3)."""
-    costs = CostModel.paper_default()
-
-    def replicate(size, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, True, rng)
-        return {
-            "ONTH": simulate(
-                substrate, OnTH(cache_size=int(size)), trace, costs, seed=rng
-            ).total_cost,
-            "ONBR": simulate(
-                substrate, OnBR(cache_size=int(size)), trace, costs, seed=rng
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-cache", "inactive cache size sweep (commuter dynamic)",
-        "cache size", cache_sizes, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=_commuter(sojourn, True),
+            policies=(
+                PolicySpec("onth", label="ONTH"),
+                PolicySpec("onbr", label="ONBR"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=horizon,
+        ),
+        parameter="policies.cache_size",
+        values=tuple(int(size) for size in cache_sizes),
+        runs=runs,
+        seed=seed,
+        figure="abl-cache",
+        title="inactive cache size sweep (commuter dynamic)",
+        x_label="cache size",
         notes="paper fixes size 3; diminishing returns expected beyond that",
-        backend=backend,
     )
+    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
 
 
 @register_figure("abl-threshold", quick=dict(factors=(0.5, 2.0, 8.0), n=100, horizon=300, runs=3))
@@ -119,24 +137,30 @@ def ablation_threshold(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """ONBR's epoch threshold θ = factor·c (paper fixes factor 2)."""
-    costs = CostModel.paper_default()
-
-    def replicate(factor, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _commuter_trace(substrate, horizon, sojourn, True, rng)
-        run = simulate(
-            substrate, OnBR(threshold_factor=float(factor)), trace, costs, seed=rng
-        )
-        return {"ONBR total": run.total_cost}
-
-    return sweep_experiment(
-        "abl-threshold", "ONBR threshold factor sweep (θ = factor·c)",
-        "θ/c", factors, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=_commuter(sojourn, True),
+            policies=(PolicySpec("onbr", label="ONBR total"),),
+            costs=CostSpec.paper_default(),
+            horizon=horizon,
+        ),
+        parameter="policies.threshold_factor",
+        values=tuple(float(factor) for factor in factors),
+        runs=runs,
+        seed=seed,
+        figure="abl-threshold",
+        title="ONBR threshold factor sweep (θ = factor·c)",
+        x_label="θ/c",
         notes="small θ reacts faster but pays more transitions",
-        backend=backend,
     )
+    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
 
 
 @register_figure("abl-migration", quick=dict(runs=3))
@@ -148,6 +172,10 @@ def ablation_migration_model(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """Constant β vs bandwidth-derived per-pair migration costs.
 
@@ -155,37 +183,36 @@ def ablation_migration_model(
     bandwidth-derived matrix heterogeneous; the matrix is scaled so its mean
     equals the constant β for a like-for-like comparison.
     """
-    topo = att_like_topology(access_routers=False)
-    base = CostModel(migration=40.0, creation=400.0, run_active=2.5, run_inactive=0.5)
-    matrix = bandwidth_migration_matrix(topo)
-    off_diagonal = matrix[~np.eye(topo.n, dtype=bool)]
-    scaled = matrix * (base.migration / off_diagonal.mean())
-    matrix_costs = CostModel(
-        migration=base.migration,
-        creation=base.creation,
-        run_active=base.run_active,
-        run_inactive=base.run_inactive,
-        migration_matrix=scaled,
-    )
-
-    def replicate(_x, rng):
-        trace = _timezone_trace(
-            topo, horizon, sojourn, rng, period=period,
-            requests_per_round=requests_per_round,
-        )
-        return {
-            "constant β": simulate(topo, OnTH(), trace, base, seed=rng).total_cost,
-            "bandwidth β(u,v)": simulate(
-                topo, OnTH(), trace, matrix_costs, seed=rng
-            ).total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-migration", "constant vs bandwidth-derived migration cost (ONTH)",
-        "metric", ["total cost"], replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            # seed pinned: every replicate sees the same deterministic map
+            topology=TopologySpec("att", {"seed": 7018, "access_routers": False}),
+            scenario=ScenarioSpec(
+                "timezones",
+                {"period": period, "sojourn": sojourn,
+                 "requests_per_round": requests_per_round},
+            ),
+            policies=(
+                PolicySpec("onth", label="constant β"),
+                PolicySpec(
+                    "onth",
+                    label="bandwidth β(u,v)",
+                    costs=CostSpec(migration_model="bandwidth"),
+                ),
+            ),
+            costs=CostSpec(),  # β=40, c=400, Ra=2.5, Ri=0.5 — the defaults
+            horizon=horizon,
+        ),
+        parameter=None,
+        values=("total cost",),
+        runs=runs,
+        seed=seed,
+        figure="abl-migration",
+        title="constant vs bandwidth-derived migration cost (ONTH)",
+        x_label="metric",
         notes="distance-dependent β changes which moves are worthwhile",
-        backend=backend,
     )
+    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
 
 
 @register_figure("abl-beta", quick=dict(ratios=(0.1, 0.5, 1.0, 10.0), n=60, horizon=250, runs=3))
@@ -198,6 +225,10 @@ def ablation_beta_over_c(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """Continuous sweep of the paper's β<c vs β>c dichotomy.
 
@@ -209,27 +240,40 @@ def ablation_beta_over_c(
     monotone in β: ONTH's small-epoch threshold is ``y·β``, so a very cheap
     β also makes the algorithm reconfigure myopically every few rounds —
     an ONTH coupling worth knowing about when transplanting the algorithm.
-    """
-    def replicate(ratio, rng):
-        costs = CostModel(
-            migration=float(ratio) * creation,
-            creation=creation,
-            run_active=2.5,
-            run_inactive=0.5,
-        )
-        substrate = erdos_renyi(n, seed=rng)
-        trace = _timezone_trace(substrate, horizon, sojourn, rng)
-        run = simulate(substrate, OnTH(), trace, costs, seed=rng)
-        return {
-            "ONTH total": run.total_cost,
-            "migrations": float(run.total_migrations),
-        }
 
-    return sweep_experiment(
-        "abl-beta", "migration/creation cost ratio sweep (ONTH, time zones)",
-        "β/c", ratios, replicate, runs=runs, seed=seed,
+    The spec sweeps β itself at fixed ``c``; the returned figure plots it
+    as β/c.
+    """
+    betas = tuple(float(ratio) * creation for ratio in ratios)
+    ratio_of = dict(zip(betas, ratios))
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=ScenarioSpec(
+                "timezones", {"sojourn": sojourn, "period": default_period_for(n)}
+            ),
+            policies=(PolicySpec("onth", label="ONTH total"),),
+            costs=CostSpec(
+                migration=betas[0], creation=creation,
+                run_active=2.5, run_inactive=0.5,
+            ),
+            horizon=horizon,
+            metrics=(MetricSpec("total_cost"), MetricSpec("migrations")),
+        ),
+        parameter="costs.migration",
+        values=betas,
+        runs=runs,
+        seed=seed,
+        figure="abl-beta",
+        title="migration/creation cost ratio sweep (ONTH, time zones)",
+        x_label=f"β (c = {creation:g})",
         notes="migrations must vanish for β/c > 1 (§II-C)",
-        backend=backend,
+    )
+    result = run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
+    return replace(
+        result,
+        x_label="β/c",
+        x_values=tuple(ratio_of[beta] for beta in result.x_values),
     )
 
 
@@ -242,6 +286,10 @@ def ablation_mobility_correlation(
     runs: int = 5,
     seed: int = DEFAULT_SEED,
     backend=None,
+    cache=None,
+    shard=None,
+    replication=None,
+    comparison=None,
 ) -> FigureResult:
     """Benefit of adaptation vs crowd correlation in the mobility model.
 
@@ -249,26 +297,34 @@ def ablation_mobility_correlation(
     a coherent crowd (correlation 1) is where migration pays off, so the
     gap between the static baseline and ONTH should widen.
     """
-    costs = CostModel.paper_default()
-
-    def replicate(corr, rng):
-        substrate = erdos_renyi(n, seed=rng)
-        scenario = MobilityScenario(
-            substrate, n_users=n_users, mean_sojourn=10.0,
-            correlation=float(corr), attractor_period=50,
-        )
-        trace = generate_trace(scenario, horizon, rng)
-        onth = simulate(substrate, OnTH(), trace, costs, seed=rng)
-        offstat = simulate(substrate, OffStat(), trace, costs, seed=rng)
-        return {
-            "ONTH": onth.total_cost,
-            "OFFSTAT": offstat.total_cost,
-            "OFFSTAT/ONTH": offstat.total_cost / onth.total_cost,
-        }
-
-    return sweep_experiment(
-        "abl-mobility", "mobility correlation sweep (ONTH vs static)",
-        "correlation", correlations, replicate, runs=runs, seed=seed,
+    spec = SweepSpec(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": n}),
+            scenario=ScenarioSpec(
+                "mobility",
+                {"n_users": n_users, "mean_sojourn": 10.0,
+                 "attractor_period": 50},
+            ),
+            policies=(
+                PolicySpec("onth", label="ONTH"),
+                PolicySpec("offstat", label="OFFSTAT"),
+            ),
+            costs=CostSpec.paper_default(),
+            horizon=horizon,
+            metrics=(
+                MetricSpec("total_cost"),
+                MetricSpec(
+                    "cost_ratio_vs", {"reference": "ONTH"}, label="OFFSTAT/ONTH"
+                ),
+            ),
+        ),
+        parameter="scenario.correlation",
+        values=tuple(float(corr) for corr in correlations),
+        runs=runs,
+        seed=seed,
+        figure="abl-mobility",
+        title="mobility correlation sweep (ONTH vs static)",
+        x_label="correlation",
         notes="adaptivity should pay off more as the crowd moves coherently",
-        backend=backend,
     )
+    return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import OffStat, OnBR, OnTH
+from repro.algorithms import OffStat, OnTH
 from repro.api.experiment import run_sweep
 from repro.api.registry import register_figure
 from repro.api.specs import (
@@ -56,12 +56,11 @@ from repro.api.specs import (
 from repro.core.costs import CostModel
 from repro.core.load import LinearLoad, QuadraticLoad
 from repro.core.simulator import simulate
-from repro.experiments.runner import FigureResult, sweep_experiment
+from repro.experiments.runner import FigureResult
 from repro.topology.generators import erdos_renyi
 from repro.topology.substrate import Substrate
 from repro.workload.base import Trace, generate_trace
 from repro.workload.commuter import CommuterScenario, default_period_for
-from repro.workload.timezones import TimeZoneScenario
 
 __all__ = [
     "figure01", "figure02", "figure03", "figure04", "figure05", "figure06",
@@ -119,25 +118,6 @@ def _commuter_trace(
         period=period if period is not None else default_period_for(substrate.n),
         sojourn=sojourn,
         dynamic_load=dynamic,
-    )
-    return generate_trace(scenario, horizon, rng)
-
-
-def _timezone_trace(
-    substrate: Substrate,
-    horizon: int,
-    sojourn: int,
-    rng: np.random.Generator,
-    period: "int | None" = None,
-    requests_per_round: int = 10,
-    hotspot_share: float = 0.5,
-) -> Trace:
-    scenario = TimeZoneScenario(
-        substrate,
-        period=period if period is not None else default_period_for(substrate.n),
-        sojourn=sojourn,
-        hotspot_share=hotspot_share,
-        requests_per_round=requests_per_round,
     )
     return generate_trace(scenario, horizon, rng)
 
@@ -932,10 +912,6 @@ def figure19(
 # ---------------------------------------------------------------------------
 
 
-_ROCKETFUEL_TITLE = "Rocketfuel AS-7018 (AT&T-like) totals, time zone scenario"
-_ROCKETFUEL_NOTES = "paper: OFFSTAT 26063.8 < ONTH 44176.3 (<2x) < ONBR 111470.3"
-
-
 @register_figure("rocketfuel", quick=dict(horizon=400, runs=2))
 def rocketfuel_table(
     horizon: int = 600,
@@ -944,7 +920,6 @@ def rocketfuel_table(
     requests_per_round: int = 10,
     runs: int = 3,
     seed: int = DEFAULT_SEED,
-    substrate: "Substrate | None" = None,
     backend=None,
     cache=None,
     shard=None,
@@ -957,43 +932,7 @@ def rocketfuel_table(
     (a factor < 2 above OFFSTAT), ONBR 111470.3. We check the ordering and
     the <2x ONTH/OFFSTAT gap; absolute values differ because the real map
     and the paper's request volume are unpublished (DESIGN.md §3).
-
-    ``substrate`` injects a custom topology object — which cannot be
-    expressed as spec data, so that path runs (and stays cached-off) as an
-    inline sweep; the default AT&T-like run is a pure :class:`SweepSpec`.
     """
-    if substrate is not None:
-        if replication is not None:
-            raise ValueError(
-                "replication needs the spec-driven path; a custom substrate "
-                "object cannot be expressed as spec data"
-            )
-        costs = CostModel(
-            migration=40.0, creation=400.0, run_active=2.5, run_inactive=0.5
-        )
-
-        def replicate(_x, rng):
-            trace = _timezone_trace(
-                substrate, horizon, sojourn, rng, period=period,
-                requests_per_round=requests_per_round, hotspot_share=0.5,
-            )
-            return {
-                "OFFSTAT": simulate(
-                    substrate, OffStat(), trace, costs, seed=rng
-                ).total_cost,
-                "ONTH": simulate(
-                    substrate, OnTH(), trace, costs, seed=rng
-                ).total_cost,
-                "ONBR": simulate(
-                    substrate, OnBR(), trace, costs, seed=rng
-                ).total_cost,
-            }
-
-        return sweep_experiment(
-            "tabR", _ROCKETFUEL_TITLE, "metric", ["total cost"], replicate,
-            runs=runs, seed=seed, notes=_ROCKETFUEL_NOTES, backend=backend,
-        )
-
     spec = SweepSpec(
         experiment=ExperimentSpec(
             # seed pinned so every replicate sees the same deterministic map
@@ -1017,9 +956,9 @@ def rocketfuel_table(
         runs=runs,
         seed=seed,
         figure="tabR",
-        title=_ROCKETFUEL_TITLE,
+        title="Rocketfuel AS-7018 (AT&T-like) totals, time zone scenario",
         x_label="metric",
-        notes=_ROCKETFUEL_NOTES,
+        notes="paper: OFFSTAT 26063.8 < ONTH 44176.3 (<2x) < ONBR 111470.3",
     )
     return run_sweep(spec, backend=backend, cache=cache, shard=shard, replication=replication, comparison=comparison)
 

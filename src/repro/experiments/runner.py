@@ -15,9 +15,9 @@ executor of a sweep shares:
 * the aggregators turning per-replicate samples into a
   :class:`FigureResult`.
 
-:func:`sweep_experiment` runs a *replicate function* mapping
-``(x, rng) -> {series name: value}`` — the closure sweeps of the ablation
-studies — over the same seeds and batch runner.
+Every sweep — the paper figures, the ablations and ``run`` — is a
+:class:`~repro.api.specs.SweepSpec` executed by
+:func:`~repro.api.experiment.run_sweep`; there is no second engine.
 
 Determinism: replicate ``j`` of sweep point ``i`` always receives the same
 child generator (derived from one master seed through
@@ -31,7 +31,7 @@ sweep is bit-identical to the serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.analysis.stats import (
     paired_summary,
     point_summary,
 )
-from repro.api.execution import ExecutionBackend, ReplicateTask, SerialBackend
+from repro.api.execution import ReplicateTask
 
 __all__ = [
     "ComparisonResult",
@@ -57,7 +57,6 @@ __all__ = [
     "point_meets_target",
     "spawn_point_extension_tasks",
     "spawn_tasks",
-    "sweep_experiment",
 ]
 
 
@@ -789,50 +788,3 @@ def _run_batched(backend, replicate, spans, validator) -> None:
         validator(index, tasks[index], results[index])
     for k in range(committed, len(spans)):
         spans[k][1](results[bounds[k] : bounds[k + 1]])
-
-
-def sweep_experiment(
-    figure: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence,
-    replicate: Callable[[object, np.random.Generator], Mapping[str, float]],
-    runs: int = 5,
-    seed: int = 0,
-    notes: str = "",
-    backend: "ExecutionBackend | None" = None,
-    comparison: "ComparisonSpec | None" = None,
-) -> FigureResult:
-    """Run ``replicate`` ``runs`` times per sweep point and average.
-
-    Args:
-        figure/title/x_label: metadata copied into the result.
-        x_values: the sweep points.
-        replicate: one independent experiment at a sweep point; returns a
-            mapping of series name to measured value. Every replicate must
-            return the same set of keys.
-        runs: replicates per point (the paper uses 5 or 10).
-        seed: master seed; see module docstring for the derivation scheme.
-        notes: carried through to the result.
-        backend: where the replicates execute (``None`` = in-process serial).
-            The result is backend-independent: every task carries its
-            pre-spawned child seed.
-        comparison: optional :class:`~repro.api.specs.ComparisonSpec`
-            attaching paired contrast-vs-baseline payloads to the result.
-
-    Returns:
-        A :class:`FigureResult` with per-series means and standard errors.
-    """
-    x_values = list(x_values)
-    tasks = spawn_tasks(x_values, runs, seed)
-    samples: "list[Mapping[str, float]]" = []
-    _run_batched(
-        backend if backend is not None else SerialBackend(),
-        replicate,
-        [(tasks, samples.extend)],
-        SeriesValidator(runs),
-    )
-    return aggregate_samples(
-        figure, title, x_label, x_values, samples, runs, notes=notes,
-        comparison=comparison,
-    )

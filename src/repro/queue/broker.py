@@ -78,7 +78,7 @@ CREATE TABLE IF NOT EXISTS tasks (
     job      TEXT NOT NULL REFERENCES jobs(id) ON DELETE CASCADE,
     kind     TEXT NOT NULL,
     payload  TEXT NOT NULL DEFAULT '{}',
-    blob     BLOB,
+    blob     BLOB,  -- unused; kept so queue files from older releases open
     status   TEXT NOT NULL DEFAULT 'pending',
     lease    TEXT,
     worker   TEXT,
@@ -110,7 +110,6 @@ class Lease:
     job_kind: str
     kind: str
     payload: dict
-    blob: "bytes | None"
     spec: "dict | None"
     token: str
     deadline: float
@@ -200,12 +199,11 @@ class Broker:
         job_id: str,
         kind: str,
         spec: "Mapping | None" = None,
-        tasks: "Sequence[tuple[str, Mapping] | tuple[str, Mapping, bytes | None]]" = (),
+        tasks: "Sequence[tuple[str, Mapping]]" = (),
     ) -> dict:
         """Create a job with its initial tasks; idempotent on ``job_id``.
 
-        ``tasks`` holds ``(kind, payload)`` or ``(kind, payload, blob)``
-        tuples. An already-known ``job_id`` returns the existing job's
+        ``tasks`` holds ``(kind, payload)`` tuples. An already-known ``job_id`` returns the existing job's
         state with ``created=False`` and enqueues nothing — callers key
         sweep jobs on the spec's cache key, so re-submitting a spec
         attaches to the in-flight job instead of duplicating its work.
@@ -230,17 +228,14 @@ class Broker:
                     now,
                 ),
             )
-            for task in tasks:
-                task_kind, payload = task[0], task[1]
-                blob = task[2] if len(task) > 2 else None
+            for task_kind, payload in tasks:
                 db.execute(
-                    "INSERT INTO tasks (job, kind, payload, blob, status,"
-                    " created, updated) VALUES (?, ?, ?, ?, 'pending', ?, ?)",
+                    "INSERT INTO tasks (job, kind, payload, status,"
+                    " created, updated) VALUES (?, ?, ?, 'pending', ?, ?)",
                     (
                         job_id,
                         task_kind,
                         json.dumps(dict(payload), sort_keys=True),
-                        blob,
                         now,
                         now,
                     ),
@@ -254,7 +249,6 @@ class Broker:
         job_id: str,
         kind: str,
         payload: "Mapping | None" = None,
-        blob: "bytes | None" = None,
         successor_of: "int | None" = None,
     ) -> bool:
         """Append one task to a job unless an identical one is outstanding.
@@ -279,9 +273,9 @@ class Broker:
             ).fetchone():
                 return False
             db.execute(
-                "INSERT INTO tasks (job, kind, payload, blob, status,"
-                " created, updated) VALUES (?, ?, ?, ?, 'pending', ?, ?)",
-                (job_id, kind, text, blob, now, now),
+                "INSERT INTO tasks (job, kind, payload, status,"
+                " created, updated) VALUES (?, ?, ?, 'pending', ?, ?)",
+                (job_id, kind, text, now, now),
             )
             # new work reopens a job another worker already assembled
             db.execute(
@@ -382,14 +376,12 @@ class Broker:
         worker: str,
         ttl: "float | None" = None,
         job: "str | None" = None,
-        kinds: "Sequence[str] | None" = None,
     ) -> "Lease | None":
         """Lease the oldest pending task, or ``None`` when none is ready.
 
         Reaps expired leases first, so a single polling worker drains a
-        queue abandoned by dead ones. ``job``/``kinds`` restrict what is
-        taken — the in-process :class:`~repro.api.execution.QueueBackend`
-        uses them to work-steal its own block tasks.
+        queue abandoned by dead ones. ``job`` restricts the lease to one
+        job's tasks.
         """
         ttl = self.ttl if ttl is None else float(ttl)
         now = time.time()
@@ -401,9 +393,6 @@ class Broker:
             if job is not None:
                 query += " AND job = ?"
                 params.append(job)
-            if kinds:
-                query += f" AND kind IN ({','.join('?' * len(kinds))})"
-                params.extend(kinds)
             query += " ORDER BY id LIMIT 1"
             row = db.execute(query, params).fetchone()
             if row is None:
@@ -425,7 +414,6 @@ class Broker:
                 job_kind=task["job_kind"],
                 kind=task["kind"],
                 payload=json.loads(task["payload"]),
-                blob=task["blob"],
                 spec=json.loads(task["job_spec"]) if task["job_spec"] else None,
                 token=task["lease"],
                 deadline=task["deadline"],

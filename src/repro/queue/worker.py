@@ -33,11 +33,18 @@ serial run:
   entry — is literally the serial code, so the queue-assembled
   :class:`~repro.experiments.runner.FigureResult` is bit-identical to the
   serial golden by construction.
+* **Rows are data, never code.** Only ``point`` and ``topup`` tasks
+  execute, and they carry JSON positions; a row of any other kind (such as
+  the pickled ``block`` tasks older releases wrote) fails with a one-line
+  error and its bytes are never loaded.
+
+:func:`worker_loop` serves both the ``worker`` command and the in-process
+:class:`~repro.api.execution.QueueBackend`, which enqueues a sweep and
+works its job until it is done, so every queue execution path is this one.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -147,25 +154,15 @@ def _advance_point(spec: SweepSpec, index: int, cache: ResultCache) -> bool:
     return False
 
 
-def execute_lease(
-    broker: Broker, lease: Lease, cache: ResultCache
-) -> "bytes | None":
-    """Run one leased task; returns the result blob to store on the row.
+def execute_lease(broker: Broker, lease: Lease, cache: ResultCache) -> None:
+    """Run one leased ``point`` or ``topup`` task.
 
-    * ``point`` / ``topup`` — advance the point's schedule by at most one
-      fresh block (:func:`_advance_point`; a ``point`` task starts with the
-      initial block) and chain a ``topup`` task while blocks remain.
-    * ``block`` — a pickled ``(replicate, tasks)`` batch from a
-      :class:`~repro.api.execution.QueueBackend`; the samples travel back
-      pickled on the task row (no spec/cache involved).
+    Advances the point's schedule by at most one fresh block
+    (:func:`_advance_point`; a ``point`` task starts with the initial
+    block) and chains a ``topup`` task while blocks remain. The samples
+    land in ``cache``; nothing travels back on the task row, and any other
+    task kind fails without its row being interpreted.
     """
-    if lease.kind == "block":
-        replicate, tasks = pickle.loads(lease.blob)
-        return pickle.dumps(
-            SerialBackend().run_replicates(replicate, tasks),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
     if lease.kind not in ("point", "topup"):
         raise ValueError(f"unknown task kind {lease.kind!r}")
     spec = _sweep_from(lease.spec)
@@ -182,15 +179,17 @@ def try_finalize(
 ) -> "FigureResult | None":
     """Assemble a drained sweep job's figure from the warm cache.
 
-    Exactly one worker wins the claim; it reruns the spec through
-    :func:`~repro.api.experiment.run_sweep` with the shared cache — every
-    point (and extension) loads, nothing simulates, and the resulting
-    sweep entry is what :func:`enqueue_sweep` and the results service
-    answer from. Tasks that exhausted their attempts fail the whole job
-    with their first error instead of assembling a silently partial
-    figure.
+    Exactly one worker wins the claim; it reruns the spec through the
+    :func:`~repro.api.experiment.run_sweep` engine with the shared cache —
+    every point (and extension) loads, nothing simulates, and the resulting
+    sweep entry is what :func:`enqueue_sweep`, the results service and a
+    :class:`~repro.api.execution.QueueBackend` sweep answer from. The
+    assembly is not reported to :func:`~repro.api.experiment.capture_sweeps`:
+    it is the queue's internal step, not a sweep the caller ran. Tasks
+    that exhausted their attempts fail the whole job with their first
+    error instead of assembling a silently partial figure.
     """
-    from repro.api.experiment import run_sweep
+    from repro.api.experiment import _execute_sweep
 
     if not broker.claim_finalize(job_id):
         return None
@@ -213,7 +212,9 @@ def try_finalize(
         )
         return None
     try:
-        result = run_sweep(SweepSpec.from_dict(state["spec"]), cache=cache)
+        result = _execute_sweep(
+            SweepSpec.from_dict(state["spec"]), None, cache, None, True
+        )
     except Exception as error:  # noqa: BLE001 - job must reach a terminal state
         broker.finish_job(job_id, "failed", error=repr(error))
         return None

@@ -22,7 +22,6 @@ from repro.api.specs import (
     SweepSpec,
     TopologySpec,
 )
-from repro.experiments.runner import sweep_experiment
 
 
 def small_sweep(runs: int = 2) -> SweepSpec:
@@ -74,29 +73,13 @@ class TestProcessPoolBackend:
         assert results == [{"v": 0.0}]
 
     def test_matches_serial_for_picklable_replicate(self):
-        # SpecReplicate (module-level class) is picklable: the normal path.
+        # SpecReplicate (module-level class) pickles to the pool workers.
         spec = small_sweep()
         serial = run_sweep(spec)
         parallel = run_sweep(spec, backend=ProcessPoolBackend(4))
         assert parallel.series == serial.series
         assert parallel.errors == serial.errors
         assert parallel.x_values == serial.x_values
-
-    def test_matches_serial_for_closure_replicate(self):
-        # Closures are not picklable; the backend falls back to fork (or
-        # serial where fork is unavailable) — results must be identical.
-        offset = 10.0
-
-        def replicate(x, rng):
-            return {"y": offset * x + float(rng.random())}
-
-        serial = sweep_experiment("f", "t", "x", [1, 2], replicate,
-                                  runs=3, seed=4)
-        parallel = sweep_experiment("f", "t", "x", [1, 2], replicate,
-                                    runs=3, seed=4,
-                                    backend=ProcessPoolBackend(2))
-        assert parallel.series == serial.series
-        assert parallel.errors == serial.errors
 
 
 class TestSpecSweepExecution:

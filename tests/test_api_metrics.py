@@ -1,6 +1,7 @@
 """Tests for the metric pipeline: registry, built-ins, spec integration."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ class TestBuiltinMetrics:
         )
         out = run_replicate(spec, np.random.default_rng(7))
         assert set(out) == {"ONTH total", "OFFSTAT total"}
+
+    def test_migrations_count_the_ledgers_moves(self):
+        policies = (
+            PolicySpec("onth", label="ONTH"),
+            PolicySpec("offstat", label="OFFSTAT"),
+        )
+        single = line_experiment(metrics=(MetricSpec("migrations"),))
+        multi = line_experiment(
+            policies=policies, metrics=(MetricSpec("migrations"),)
+        )
+        assert set(run_replicate(single, np.random.default_rng(3))) == {
+            "migrations"
+        }
+        out = run_replicate(multi, np.random.default_rng(3))
+        ledgers = run_experiment(replace(multi, seed=3)).results
+        assert out == {
+            f"{label} migrations": float(run.total_migrations)
+            for label, run in ledgers.items()
+        }
 
     def test_cost_breakdown_unknown_part(self):
         spec = line_experiment(

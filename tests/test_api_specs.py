@@ -8,6 +8,7 @@ import pytest
 from repro.api.specs import (
     CostSpec,
     ExperimentSpec,
+    MetricSpec,
     PolicySpec,
     ScenarioSpec,
     SweepSpec,
@@ -119,6 +120,71 @@ class TestCostSpec:
         sweep = SweepSpec(experiment=spec, parameter="horizon", values=(10,))
         with pytest.raises(ValueError, match="run"):
             SweepSpec.from_dict({**sweep.to_dict(), "run": 9})
+
+
+class TestPerPolicyOverrides:
+    def test_routing_override_normalised_and_round_trips(self):
+        policy = PolicySpec("onth", label="aware", routing="Load-Aware")
+        assert policy.routing == "load_aware"
+        assert policy.to_dict()["routing"] == "load_aware"
+        assert PolicySpec.from_dict(policy.to_dict()) == policy
+        with pytest.raises(ValueError, match="unknown routing"):
+            PolicySpec("onth", routing="random")
+
+    def test_bandwidth_migration_model_scales_to_mean_beta(self):
+        from repro.topology.rocketfuel import att_like_topology
+
+        spec = CostSpec(migration=40.0, migration_model="bandwidth")
+        assert CostSpec.from_dict(spec.to_dict()) == spec
+        with pytest.raises(ValueError, match="substrate"):
+            spec.to_cost_model()
+        substrate = att_like_topology(access_routers=False)
+        matrix = spec.to_cost_model(substrate).migration_matrix
+        off_diagonal = matrix[~np.eye(substrate.n, dtype=bool)]
+        assert off_diagonal.mean() == pytest.approx(40.0)
+        assert off_diagonal.min() < off_diagonal.max()  # heterogeneous
+        with pytest.raises(ValueError, match="migration model"):
+            CostSpec(migration_model="distance")
+
+    def test_unset_overrides_leave_dicts_and_keys_unchanged(self):
+        # serialised only when set: every spec written before the fields
+        # existed keeps its dict and cache key
+        assert "routing" not in PolicySpec("onth").to_dict()
+        assert "migration_model" not in CostSpec().to_dict()
+
+    def test_cache_keys_pinned(self):
+        from repro.experiments.figures import DEFAULT_SEED, _commuter_size_sweep
+
+        fig03 = _commuter_size_sweep(
+            "fig03", "cost vs network size, commuter dynamic load",
+            True, (50, 100), 300, 10, 3, DEFAULT_SEED,
+        )
+        assert fig03.cache_key() == (
+            "ef8a1e6720de42e8ebfc37fc83b5e0029beb6728831123a03fa1ca01ad937825"
+        )
+        regimes = SweepSpec(
+            experiment=ExperimentSpec(
+                topology=TopologySpec("line", {"n": 5}),
+                scenario=ScenarioSpec("commuter", {"period": 4}),
+                policies=(
+                    PolicySpec("offstat", label="b<c"),
+                    PolicySpec(
+                        "offstat", label="b>c",
+                        costs=CostSpec.migration_expensive(),
+                    ),
+                ),
+                metrics=(MetricSpec("cost_ratio_vs", {"reference": "OPT"}),),
+                horizon=40,
+            ),
+            parameter="scenario.sojourn",
+            values=(2, 5),
+            runs=2,
+            seed=3,
+            figure="pin",
+        )
+        assert regimes.cache_key() == (
+            "73fc09fa93b5099b34b98f7346ca46d86f7c0ffcd833b6ff6101acfcba5144d9"
+        )
 
 
 class TestExperimentSpec:

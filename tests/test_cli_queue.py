@@ -76,6 +76,28 @@ class TestErrorPaths:
         assert hint.startswith("error:")
         assert "mutually exclusive" in hint
 
+    @pytest.mark.parametrize("argv", [
+        RUN_ARGS,
+        ["abl-threshold", "--runs", "1"],
+        ["report", "fig13", "--runs", "1"],
+        ["run", "--from-bundle", "bundle"],
+    ], ids=["run", "figure", "report", "from-bundle"])
+    def test_queue_needs_a_cache_dir(self, tmp_path, capsys, argv):
+        queue = tmp_path / "q.db"
+        assert main([*argv, "--queue", str(queue)]) == 2
+        assert "--cache-dir" in one_line(capsys.readouterr().err)
+        assert not queue.exists()
+
+    @pytest.mark.parametrize("argv", [
+        RUN_ARGS, ["abl-threshold", "--runs", "1"],
+    ], ids=["run", "figure"])
+    def test_queue_cannot_run_a_shard(self, tmp_path, capsys, argv):
+        assert main([
+            *argv, "--queue", str(tmp_path / "q.db"),
+            "--cache-dir", str(tmp_path / "c"), "--shard", "1/2",
+        ]) == 2
+        assert "--shard" in one_line(capsys.readouterr().err)
+
     def test_enqueue_rejects_unknown_policy(self, tmp_path, capsys):
         code = main([
             "enqueue", "--policy", "nope",
@@ -201,6 +223,8 @@ class TestRoundTrip:
         self, tmp_path, capsys
     ):
         queue = str(tmp_path / "q.db")
-        assert main([*RUN_ARGS, "--queue", queue]) == 0
+        assert main([
+            *RUN_ARGS, "--queue", queue, "--cache-dir", str(tmp_path / "c"),
+        ]) == 0
         out = capsys.readouterr().out
         assert f"backend=queue {queue}" in out

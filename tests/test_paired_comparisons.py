@@ -614,7 +614,9 @@ class TestPairedRefinementWarmCache:
         serial = run_sweep(refined_spec)
         pool = run_sweep(refined_spec, backend=ProcessPoolBackend(2))
         queued = run_sweep(
-            refined_spec, backend=QueueBackend(tmp_path / "q.db", poll=0.01)
+            refined_spec,
+            backend=QueueBackend(tmp_path / "q.db"),
+            cache=ResultCache(tmp_path / "queue-cache"),
         )
         assert pool.to_dict() == serial.to_dict()
         assert queued.to_dict() == serial.to_dict()

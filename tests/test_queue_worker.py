@@ -5,14 +5,17 @@ whatever the worker count, lease churn, or adaptive topping-up — assembles
 a figure bit-identical to the plain serial ``run_sweep``.
 """
 
+import json
 import pickle
+import sqlite3
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.api.cache import ResultCache
-from repro.api.execution import QueueBackend, SerialBackend
-from repro.api.experiment import run_sweep
+from repro.api.execution import ProcessPoolBackend, QueueBackend
+from repro.api.experiment import capture_sweeps, run_sweep
 from repro.api.specs import (
     ComparisonSpec,
     ExperimentSpec,
@@ -22,6 +25,7 @@ from repro.api.specs import (
     SweepSpec,
     TopologySpec,
 )
+from repro.experiments import ablations
 from repro.queue.broker import Broker
 from repro.queue.worker import enqueue_sweep, execute_lease, try_finalize, worker_loop
 
@@ -68,22 +72,6 @@ def adaptive_sweep(**overrides) -> SweepSpec:
     )
     defaults.update(overrides)
     return SweepSpec(**defaults)
-
-
-def _scaled_draw(x, rng):
-    """A picklable replicate: deterministic in (x, seed) like the real ones."""
-    return {"value": float(x) * 10.0, "draw": float(rng.random())}
-
-
-def _make_tasks(count):
-    import numpy as np
-
-    from repro.api.execution import ReplicateTask
-
-    return [
-        ReplicateTask(x=float(i), seed=np.random.SeedSequence(i))
-        for i in range(count)
-    ]
 
 
 def drain(broker, cache, **kwargs):
@@ -268,68 +256,173 @@ class TestQueueBackend:
     def test_backend_matches_serial(self, tmp_path):
         spec = small_sweep()
         serial = run_sweep(spec)
-        backend = QueueBackend(tmp_path / "queue.db", poll=0.01)
-        queued = run_sweep(spec, backend=backend)
+        pooled = run_sweep(spec, backend=ProcessPoolBackend(2))
+        backend = QueueBackend(tmp_path / "queue.db")
+        cache = ResultCache(tmp_path / "cache")
+        queued = run_sweep(spec, backend=backend, cache=cache)
+        assert pooled.to_dict() == serial.to_dict()
+        assert queued.to_dict() == serial.to_dict()
+        # the sweep ran as an ordinary queue job, left done for re-use
+        assert backend.broker.job_state(cache.key_for(spec))["status"] == "done"
+
+    @pytest.mark.parametrize("name, params", [
+        ("ablation_routing",
+         dict(sizes=(30,), horizon=60, sojourn=5, runs=2, seed=0)),
+        ("ablation_beta_over_c",
+         dict(ratios=(0.1, 10.0), n=30, horizon=80, runs=2, seed=5)),
+    ])
+    def test_ported_ablation_is_executor_independent(
+        self, tmp_path, name, params
+    ):
+        figure = getattr(ablations, name)
+        serial = figure(**params)
+        pooled = figure(**params, backend=ProcessPoolBackend(2))
+        queued = figure(
+            **params,
+            backend=QueueBackend(tmp_path / "queue.db"),
+            cache=ResultCache(tmp_path / "cache"),
+        )
+        assert pooled.to_dict() == serial.to_dict()
         assert queued.to_dict() == serial.to_dict()
 
-    def test_transient_job_is_deleted_afterwards(self, tmp_path):
-        backend = QueueBackend(tmp_path / "queue.db", poll=0.01)
-        run_sweep(small_sweep(), backend=backend)
+    def test_empty_task_list(self, tmp_path):
+        # a warm cache answers before the queue sees a single task
+        spec = small_sweep()
+        cache = ResultCache(tmp_path / "cache")
+        serial = run_sweep(spec, cache=cache)
+        backend = QueueBackend(tmp_path / "queue.db")
+        assert run_sweep(spec, backend=backend, cache=cache) == serial
         assert backend.broker.stats()["jobs"] == {}
 
-    def test_chunking_preserves_order(self, tmp_path):
-        spec = small_sweep(values=(2, 3, 4, 5), runs=3)
-        serial = run_sweep(spec)
-        backend = QueueBackend(tmp_path / "queue.db", chunk=2, poll=0.01)
-        assert run_sweep(spec, backend=backend).to_dict() == serial.to_dict()
-
     def test_external_worker_drains_backend_job(self, tmp_path):
-        spec = small_sweep()
+        spec = small_sweep(values=(2, 3, 4, 5))
         serial = run_sweep(spec)
-        path = tmp_path / "queue.db"
-        backend = QueueBackend(path, poll=0.01, local=False, timeout=60)
+        path, cache_dir = tmp_path / "queue.db", tmp_path / "cache"
         stop = threading.Event()
 
         def work():
             worker_loop(
-                Broker(path),
-                ResultCache(tmp_path / "unused-cache"),
-                poll=0.02,
+                Broker(path), ResultCache(cache_dir), poll=0.02,
                 stop=stop.is_set,
             )
 
         thread = threading.Thread(target=work, daemon=True)
         thread.start()
         try:
-            queued = run_sweep(spec, backend=backend)
+            queued = run_sweep(
+                spec, backend=QueueBackend(path), cache=ResultCache(cache_dir)
+            )
         finally:
             stop.set()
             thread.join(timeout=10)
         assert queued.to_dict() == serial.to_dict()
 
-    def test_unpicklable_work_falls_back_to_serial(self, tmp_path):
+    def test_needs_a_cache_and_the_whole_sweep(self, tmp_path):
         backend = QueueBackend(tmp_path / "queue.db")
-        tasks = _make_tasks(3)
-        replicate = lambda x, rng: {"value": float(x)}  # noqa: E731 - unpicklable
-        with pytest.raises(Exception):
-            pickle.dumps(replicate)
-        with pytest.warns(RuntimeWarning, match="serially"):
-            results = backend.run_replicates(replicate, tasks)
-        assert results == [{"value": 0.0}, {"value": 1.0}, {"value": 2.0}]
+        with pytest.raises(ValueError, match="cache"):
+            run_sweep(small_sweep(), backend=backend)
+        with pytest.raises(ValueError, match="shard"):
+            run_sweep(
+                small_sweep(), backend=backend,
+                cache=ResultCache(tmp_path / "cache"), shard=(0, 2),
+            )
         assert backend.broker.stats()["jobs"] == {}
 
-    def test_on_result_sees_tasks_in_order(self, tmp_path):
-        backend = QueueBackend(tmp_path / "queue.db", chunk=2, poll=0.01)
-        tasks = _make_tasks(5)
-        seen = []
-        backend.run_replicates(
-            _scaled_draw,
-            tasks,
-            on_result=lambda i, task, sample: seen.append((i, task.x, sample)),
+    def test_failed_job_raises(self, tmp_path):
+        # an odd commuter day length passes spec validation but fails in
+        # every replicate, so each task exhausts its single attempt
+        spec = small_sweep(
+            experiment=replace(
+                small_sweep().experiment,
+                scenario=ScenarioSpec("commuter", {"period": 3}),
+            )
         )
-        expected = SerialBackend().run_replicates(_scaled_draw, tasks)
-        assert seen == [(i, float(i), expected[i]) for i in range(5)]
+        backend = QueueBackend(Broker(tmp_path / "queue.db", max_attempts=1))
+        with pytest.raises(RuntimeError, match="period T must be even"):
+            run_sweep(spec, backend=backend, cache=ResultCache(tmp_path / "c"))
 
-    def test_empty_task_list(self, tmp_path):
-        backend = QueueBackend(tmp_path / "queue.db")
-        assert backend.run_replicates(_scaled_draw, []) == []
+    def test_capture_records_only_the_callers_sweep(self, tmp_path):
+        # the queue's internal assembly is not a sweep the caller ran
+        with capture_sweeps() as captured:
+            run_sweep(
+                small_sweep(),
+                backend=QueueBackend(tmp_path / "queue.db"),
+                cache=ResultCache(tmp_path / "cache"),
+            )
+        assert [spec for spec, _result in captured] == [small_sweep()]
+
+
+class _TouchOnLoad:
+    """Unpickling this creates ``path``: the side effect a worker must
+    never run for bytes it reads from the shared queue file."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+#: The queue schema as releases with pickled ``block`` tasks wrote it.
+_OLDER_SCHEMA = """
+CREATE TABLE jobs (
+    id TEXT PRIMARY KEY, kind TEXT NOT NULL, spec TEXT,
+    status TEXT NOT NULL DEFAULT 'pending', error TEXT,
+    created REAL NOT NULL, updated REAL NOT NULL
+);
+CREATE TABLE tasks (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    job TEXT NOT NULL REFERENCES jobs(id) ON DELETE CASCADE,
+    kind TEXT NOT NULL, payload TEXT NOT NULL DEFAULT '{}', blob BLOB,
+    status TEXT NOT NULL DEFAULT 'pending', lease TEXT, worker TEXT,
+    deadline REAL, attempts INTEGER NOT NULL DEFAULT 0, result BLOB,
+    error TEXT, created REAL NOT NULL, updated REAL NOT NULL
+);
+CREATE INDEX tasks_by_status ON tasks(status, id);
+CREATE INDEX tasks_by_job ON tasks(job, status);
+"""
+
+
+class TestQueueFileRows:
+    def test_block_row_fails_without_running_its_blob(self, tmp_path):
+        marker = tmp_path / "unpickled"
+        broker = Broker(tmp_path / "queue.db")
+        broker.enqueue_job("old", "block")
+        with sqlite3.connect(broker.path) as db:
+            db.execute(
+                "INSERT INTO tasks (job, kind, payload, blob, status,"
+                " created, updated) VALUES ('old', 'block', '{}', ?,"
+                " 'pending', 0, 0)",
+                (pickle.dumps(_TouchOnLoad(marker)),),
+            )
+        executed = worker_loop(
+            broker, ResultCache(tmp_path / "cache"), poll=0.01, max_tasks=1
+        )
+        assert executed == 1
+        assert not marker.exists()
+        (task,) = broker.tasks_for("old")
+        assert "unknown task kind 'block'" in task["error"]
+        assert "\n" not in task["error"]
+
+    def test_older_queue_file_opens_and_drains(self, tmp_path):
+        spec = small_sweep()
+        path = tmp_path / "queue.db"
+        cache = ResultCache(tmp_path / "cache")
+        with sqlite3.connect(path) as db:
+            db.executescript(_OLDER_SCHEMA)
+            db.execute(
+                "INSERT INTO jobs (id, kind, spec, status, created, updated)"
+                " VALUES (?, 'sweep', ?, 'pending', 0, 0)",
+                (cache.key_for(spec), json.dumps(spec.to_dict(), sort_keys=True)),
+            )
+            for index in range(len(spec.values)):
+                db.execute(
+                    "INSERT INTO tasks (job, kind, payload, blob, status,"
+                    " created, updated) VALUES (?, 'point', ?, NULL,"
+                    " 'pending', 0, 0)",
+                    (cache.key_for(spec), json.dumps({"point": index})),
+                )
+        broker = Broker(path)
+        assert drain(broker, cache) == len(spec.values)
+        assert broker.job_state(cache.key_for(spec))["status"] == "done"
+        assert cache.load(spec).to_dict() == run_sweep(spec).to_dict()

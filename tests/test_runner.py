@@ -14,7 +14,16 @@ from repro.api.specs import (
     SweepSpec,
     TopologySpec,
 )
-from repro.experiments.runner import FigureResult, PointSchedule, sweep_experiment
+from repro.api.execution import SerialBackend
+from repro.api.experiment import run_sweep
+from repro.experiments.runner import (
+    FigureResult,
+    PointSchedule,
+    SeriesValidator,
+    _run_batched,
+    aggregate_samples,
+    spawn_tasks,
+)
 
 
 class TestFigureResult:
@@ -50,31 +59,42 @@ class TestFigureResult:
             )
 
 
+def batched_sweep(x_values, replicate, runs, seed, backend=None, notes=""):
+    """One sweep through the engine's primitives, as ``_fill_points`` runs it:
+    seeded tasks, one :func:`_run_batched` batch under a
+    :class:`SeriesValidator`, then :func:`aggregate_samples`."""
+    tasks = spawn_tasks(x_values, runs, seed)
+    samples = []
+    _run_batched(
+        backend if backend is not None else SerialBackend(),
+        replicate,
+        [(tasks, samples.extend)],
+        SeriesValidator(runs),
+    )
+    return aggregate_samples(
+        "f", "t", "x", x_values, samples, runs, notes=notes
+    )
+
+
 class TestSweepExperiment:
+    """The replicate batch runner and aggregation behind every sweep."""
+
     def test_averages_across_runs(self):
         def replicate(x, rng):
             return {"y": float(x) * 10 + rng.normal(0, 0.001)}
 
-        result = sweep_experiment(
-            "f", "t", "x", [1, 2, 3], replicate, runs=5, seed=0
-        )
+        result = batched_sweep([1, 2, 3], replicate, runs=5, seed=0)
         np.testing.assert_allclose(result.y("y"), [10, 20, 30], atol=0.01)
         assert all(e < 0.01 for e in result.errors["y"])
 
     def test_deterministic_given_seed(self):
-        def replicate(x, rng):
-            return {"y": float(rng.random())}
-
-        a = sweep_experiment("f", "t", "x", [1, 2], replicate, runs=3, seed=9)
-        b = sweep_experiment("f", "t", "x", [1, 2], replicate, runs=3, seed=9)
+        a = run_sweep(_engine_sweep(seed=9))
+        b = run_sweep(_engine_sweep(seed=9))
         assert a.series == b.series
 
     def test_different_seeds_differ(self):
-        def replicate(x, rng):
-            return {"y": float(rng.random())}
-
-        a = sweep_experiment("f", "t", "x", [1], replicate, runs=2, seed=1)
-        b = sweep_experiment("f", "t", "x", [1], replicate, runs=2, seed=2)
+        a = run_sweep(_engine_sweep(seed=1))
+        b = run_sweep(_engine_sweep(seed=2))
         assert a.series != b.series
 
     def test_replicates_get_independent_rngs(self):
@@ -84,13 +104,11 @@ class TestSweepExperiment:
             seen.append(float(rng.random()))
             return {"y": 0.0}
 
-        sweep_experiment("f", "t", "x", [1], replicate, runs=4, seed=0)
+        batched_sweep([1], replicate, runs=4, seed=0)
         assert len(set(seen)) == 4
 
     def test_single_run_has_zero_stderr(self):
-        result = sweep_experiment(
-            "f", "t", "x", [5], lambda x, rng: {"y": 1.0}, runs=1, seed=0
-        )
+        result = batched_sweep([5], lambda x, rng: {"y": 1.0}, runs=1, seed=0)
         assert result.errors["y"] == (0.0,)
 
     def test_inconsistent_series_keys_rejected(self):
@@ -98,7 +116,7 @@ class TestSweepExperiment:
             return {"a": 1.0} if x == 1 else {"b": 1.0}
 
         with pytest.raises(RuntimeError, match="series"):
-            sweep_experiment("f", "t", "x", [1, 2], replicate, runs=1, seed=0)
+            batched_sweep([1, 2], replicate, runs=1, seed=0)
 
     def test_inconsistent_keys_within_first_point_rejected(self):
         """Ragged replicates inside the *first* sweep point must fail too,
@@ -109,7 +127,7 @@ class TestSweepExperiment:
             return next(samples)
 
         with pytest.raises(RuntimeError, match="series"):
-            sweep_experiment("f", "t", "x", [1], replicate, runs=2, seed=0)
+            batched_sweep([1], replicate, runs=2, seed=0)
 
     def test_serial_ragged_series_fails_fast(self):
         """A serial sweep aborts at the offending replicate, not after
@@ -121,9 +139,7 @@ class TestSweepExperiment:
             return {"a": 1.0} if x < 3 else {"b": 1.0}
 
         with pytest.raises(RuntimeError, match="series"):
-            sweep_experiment(
-                "f", "t", "x", [1, 2, 3, 4, 5], replicate, runs=1, seed=0
-            )
+            batched_sweep([1, 2, 3, 4, 5], replicate, runs=1, seed=0)
         assert calls == [1, 2, 3]  # replicates after the bad one never ran
 
     def test_backend_ignoring_on_result_still_validated(self):
@@ -140,9 +156,8 @@ class TestSweepExperiment:
             return {"a": 1.0} if x == 1 else {"b": 1.0}
 
         with pytest.raises(RuntimeError, match="series"):
-            sweep_experiment(
-                "f", "t", "x", [1, 2], replicate, runs=1, seed=0,
-                backend=SilentBackend(),
+            batched_sweep(
+                [1, 2], replicate, runs=1, seed=0, backend=SilentBackend()
             )
 
     def test_hook_driven_sweep_skips_backstop_revalidation(self):
@@ -161,17 +176,15 @@ class TestSweepExperiment:
                 CountedSeries.validations += 1
                 return super().__iter__()
 
-        sweep_experiment(
-            "f", "t", "x", [1, 2],
-            lambda x, rng: CountedSeries({"y": float(x)}),
+        batched_sweep(
+            [1, 2], lambda x, rng: CountedSeries({"y": float(x)}),
             runs=2, seed=0,
         )
         assert CountedSeries.validations == 4  # one per replicate, not two
 
     def test_to_dict_round_trip(self):
-        result = sweep_experiment(
-            "f", "t", "x", [1, 2], lambda x, rng: {"y": float(x)},
-            runs=2, seed=0, notes="n",
+        result = batched_sweep(
+            [1, 2], lambda x, rng: {"y": float(x)}, runs=2, seed=0, notes="n"
         )
         rebuilt = FigureResult.from_dict(result.to_dict())
         assert rebuilt.series == result.series
@@ -181,14 +194,30 @@ class TestSweepExperiment:
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError, match="runs"):
-            sweep_experiment("f", "t", "x", [1], lambda x, rng: {}, runs=0)
+            spawn_tasks([1], 0, seed=0)
+        with pytest.raises(ValueError, match="runs"):
+            _engine_sweep(runs=0)
 
     def test_notes_carried(self):
-        result = sweep_experiment(
-            "f", "t", "x", [1], lambda x, rng: {"y": 0.0},
-            runs=1, seed=0, notes="hello",
-        )
+        result = run_sweep(_engine_sweep(notes="hello"))
         assert result.notes == "hello"
+
+
+def _engine_sweep(**overrides) -> SweepSpec:
+    defaults = dict(
+        experiment=ExperimentSpec(
+            topology=TopologySpec("erdos_renyi", {"n": 20}),
+            scenario=ScenarioSpec("commuter", {"period": 4}),
+            policies=(PolicySpec("onth", label="ONTH"),),
+            horizon=20,
+        ),
+        parameter="scenario.sojourn",
+        values=(2, 5),
+        runs=2,
+        seed=0,
+    )
+    defaults.update(overrides)
+    return SweepSpec(**defaults)
 
 
 def _samples(values):

@@ -19,6 +19,7 @@ from repro import (
     PolicySpec,
     ProcessPoolBackend,
     QueueBackend,
+    ResultCache,
     ScenarioSpec,
     StreamingScenario,
     StreamingTrace,
@@ -260,7 +261,9 @@ class TestSpecLevelIdentity:
         serial = run_sweep(spec)
         pool = run_sweep(spec, backend=ProcessPoolBackend(2))
         queue = run_sweep(
-            spec, backend=QueueBackend(tmp_path / "queue.db", poll=0.01)
+            spec,
+            backend=QueueBackend(tmp_path / "queue.db"),
+            cache=ResultCache(tmp_path / "queue-cache"),
         )
         assert serial.to_dict() == pool.to_dict()
         assert serial.to_dict() == queue.to_dict()
